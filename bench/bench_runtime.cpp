@@ -68,7 +68,7 @@ struct SweepPoint {
 }  // namespace
 
 int main() {
-  const int64_t segments = deco::eval::env_int("DECO_SEGMENTS", 6);
+  const int64_t segments = deco::eval::env_int("DECO_SEGMENTS", 6, 1);
   std::cout << "# bench_runtime\n"
             << "threads=" << deco::core::num_threads()
             << " segments_per_session=" << segments << "\n\n";

@@ -47,8 +47,8 @@ int main() {
 
   const bool full = eval::full_scale();
   scenario::HarnessOptions options;
-  options.seed = static_cast<uint64_t>(eval::env_int("DECO_SEED", 1));
-  options.segments = eval::env_int("DECO_SEGMENTS", full ? 24 : 0);
+  options.seed = static_cast<uint64_t>(eval::env_int("DECO_SEED", 1, 0));
+  options.segments = eval::env_int("DECO_SEGMENTS", full ? 24 : 0, 1);
   if (full) {
     options.model_update_epochs = 10;
     options.pretrain_epochs = 20;

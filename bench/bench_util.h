@@ -34,15 +34,15 @@ struct BenchScale {
 inline BenchScale scale() {
   BenchScale s;
   if (eval::full_scale()) {
-    s.seeds = eval::env_int("DECO_SEEDS", 5);
-    s.segments = eval::env_int("DECO_SEGMENTS", 60);
+    s.seeds = eval::env_int("DECO_SEEDS", 5, 1);
+    s.segments = eval::env_int("DECO_SEGMENTS", 60, 1);
     s.segment_size = 32;
     s.model_update_epochs = 60;
     s.pretrain_epochs = 40;
     s.test_per_class = 40;
   } else {
-    s.seeds = eval::env_int("DECO_SEEDS", 2);
-    s.segments = eval::env_int("DECO_SEGMENTS", 8);
+    s.seeds = eval::env_int("DECO_SEEDS", 2, 1);
+    s.segments = eval::env_int("DECO_SEGMENTS", 8, 1);
     s.segment_size = 32;
     s.model_update_epochs = 10;
     s.pretrain_epochs = 30;

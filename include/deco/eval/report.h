@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,8 +24,11 @@ class MarkdownTable {
 /// Formats a float with fixed precision.
 std::string fmt(double value, int precision = 2);
 
-/// Reads an environment knob with a default ("DECO_SEEDS", etc.).
-int64_t env_int(const char* name, int64_t fallback);
+/// Reads an integer environment knob ("DECO_SEEDS", etc.); unset or empty
+/// gives `fallback`. A value that is not an integer or is below `min_value`
+/// throws deco::Error naming the variable.
+int64_t env_int(const char* name, int64_t fallback,
+                int64_t min_value = std::numeric_limits<int64_t>::min());
 std::string env_str(const char* name, const std::string& fallback);
 /// True when DECO_BENCH_SCALE=full — benches then run at larger scale.
 bool full_scale();

@@ -34,13 +34,16 @@ class ConvNet : public Module {
 
   /// Full forward: logits [N, num_classes].
   Tensor forward(const Tensor& input) override;
-  /// Full backward from dL/dlogits; returns dL/dinput.
-  Tensor backward(const Tensor& grad_logits) override;
+  /// Full backward from dL/dlogits; returns dL/dinput (see GradNeed).
+  Tensor backward(const Tensor& grad_logits,
+                  GradNeed need = GradNeed::kAll) override;
 
   /// Encoder-only forward: embedding [N, feature_dim].
   Tensor embed(const Tensor& input);
-  /// Encoder-only backward from dL/dembedding; returns dL/dinput.
-  /// Must follow a matching embed() (or forward(), which also runs the encoder).
+  /// Encoder-only backward from dL/dembedding; returns dL/dinput and leaves
+  /// parameter gradients untouched (GradNeed::kInput): its callers optimize
+  /// the input pixels, not θ. Must follow a matching embed() (or forward(),
+  /// which also runs the encoder).
   Tensor backward_from_embedding(const Tensor& grad_embedding);
 
   void collect_params(std::vector<ParamRef>& out) override;

@@ -3,6 +3,8 @@
 //
 // All image tensors are NCHW. Layers cache exactly what their backward pass
 // needs and reuse buffers across iterations to avoid per-step allocation.
+// Conv2d, Linear and InstanceNorm2d skip the gradients a GradNeed rules out;
+// the parameter-free layers ignore it and always return dL/dx.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,8 @@ class Conv2d : public Module {
          int64_t padding, Rng& rng);
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "Conv2d"; }
@@ -53,7 +56,8 @@ class Linear : public Module {
   Linear(int64_t in_features, int64_t out_features, Rng& rng);
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "Linear"; }
@@ -72,7 +76,8 @@ class Linear : public Module {
 class ReLU : public Module {
  public:
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
   std::string name() const override { return "ReLU"; }
 
  private:
@@ -85,7 +90,8 @@ class AvgPool2d : public Module {
   explicit AvgPool2d(int64_t kernel) : kernel_(kernel) {}
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
   std::string name() const override { return "AvgPool2d"; }
 
  private:
@@ -100,7 +106,8 @@ class MaxPool2d : public Module {
   explicit MaxPool2d(int64_t kernel) : kernel_(kernel) {}
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
   std::string name() const override { return "MaxPool2d"; }
 
  private:
@@ -117,7 +124,8 @@ class InstanceNorm2d : public Module {
   explicit InstanceNorm2d(int64_t channels, float eps = 1e-5f);
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "InstanceNorm2d"; }
@@ -138,7 +146,8 @@ class InstanceNorm2d : public Module {
 class Flatten : public Module {
  public:
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
   std::string name() const override { return "Flatten"; }
 
  private:

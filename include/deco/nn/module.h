@@ -8,6 +8,8 @@
 // A general autograd tape is unnecessary for a fixed feed-forward topology, so
 // each layer implements forward(x) (caching what backward needs) and
 // backward(dL/dy) → dL/dx while accumulating dL/dparam into its grad buffers.
+// A caller that reads only one of the two names it (GradNeed), and layers
+// skip the work nobody reads.
 #pragma once
 
 #include <string>
@@ -17,6 +19,15 @@
 #include "deco/tensor/tensor.h"
 
 namespace deco::nn {
+
+/// The gradients a backward() caller reads. Whatever a layer does compute is
+/// bitwise identical to the kAll result; it only skips the rest.
+enum class GradNeed {
+  kAll,     ///< dL/dx and parameter gradients.
+  kInput,   ///< dL/dx only; parameter gradients are left untouched.
+  kParams,  ///< parameter gradients only; the returned tensor is unspecified
+            ///< (layers that can skip dL/dx return an empty tensor).
+};
 
 /// Non-owning handle to one learnable parameter tensor and its gradient
 /// accumulator. `value` and `grad` always have identical shapes.
@@ -38,8 +49,10 @@ class Module {
   virtual Tensor forward(const Tensor& input) = 0;
 
   /// Propagates `grad_output` (dL/dy) to dL/dx, accumulating parameter
-  /// gradients along the way. Must be called after a matching forward().
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// gradients along the way, restricted to what `need` names. Must be called
+  /// after a matching forward().
+  virtual Tensor backward(const Tensor& grad_output,
+                          GradNeed need = GradNeed::kAll) = 0;
 
   /// Appends this module's parameters (if any) to `out`.
   virtual void collect_params(std::vector<ParamRef>& out) { (void)out; }

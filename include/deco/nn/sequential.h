@@ -21,7 +21,10 @@ class Sequential : public Module {
   Sequential& add(std::unique_ptr<Module> layer);
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// Layer 0 alone receives kParams: the layers above it must still
+  /// propagate dL/dx down to it.
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "Sequential"; }

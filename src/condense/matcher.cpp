@@ -47,7 +47,7 @@ GradientMatcher::SoftResult GradientMatcher::match_soft(
     Tensor logits = model_.forward(x_real);
     auto ce = nn::weighted_cross_entropy(logits, y_real, w_real);
     res.base.loss_real = ce.loss;
-    model_.backward(ce.grad_logits);
+    model_.backward(ce.grad_logits, nn::GradNeed::kParams);
   }
   GradVec g_real = clone_grads(model_);
 
@@ -57,7 +57,7 @@ GradientMatcher::SoftResult GradientMatcher::match_soft(
     Tensor logits = model_.forward(x_syn);
     auto ce = nn::soft_cross_entropy(logits, q_syn);
     res.base.loss_syn = ce.loss;
-    model_.backward(ce.grad_logits);
+    model_.backward(ce.grad_logits, nn::GradNeed::kParams);
   }
   GradVec g_syn = clone_grads(model_);
 
@@ -72,23 +72,22 @@ GradientMatcher::SoftResult GradientMatcher::match_soft(
   }
   const float eps = fd_scale_ / dnorm;
 
-  // Passes 3–4: ∇_X L and ∇_q L at θ±.
+  // Passes 3–4: ∇_X L and ∇_q L at θ± (input gradients only; θ's gradient
+  // accumulators keep g_syn until the final zero_grad).
   perturb_params(model_, dist.d_syn, eps);
   Tensor gx_plus, gq_plus;
   {
-    model_.zero_grad();
     Tensor logits = model_.forward(x_syn);
     auto ce = nn::soft_cross_entropy(logits, q_syn);
-    gx_plus = model_.backward(ce.grad_logits);
+    gx_plus = model_.backward(ce.grad_logits, nn::GradNeed::kInput);
     gq_plus = std::move(ce.grad_targets);
   }
   perturb_params(model_, dist.d_syn, -2.0f * eps);
   Tensor gx_minus, gq_minus;
   {
-    model_.zero_grad();
     Tensor logits = model_.forward(x_syn);
     auto ce = nn::soft_cross_entropy(logits, q_syn);
-    gx_minus = model_.backward(ce.grad_logits);
+    gx_minus = model_.backward(ce.grad_logits, nn::GradNeed::kInput);
     gq_minus = std::move(ce.grad_targets);
   }
   perturb_params(model_, dist.d_syn, eps);
@@ -155,7 +154,7 @@ MatchResult GradientMatcher::match_impl(const Tensor& x_syn,
     Tensor logits = model_.forward(xr);
     auto ce = nn::weighted_cross_entropy(logits, y_real, w_real);
     res.loss_real = ce.loss;
-    model_.backward(ce.grad_logits);
+    model_.backward(ce.grad_logits, nn::GradNeed::kParams);
   }
   GradVec g_real = clone_grads(model_);
 
@@ -165,7 +164,7 @@ MatchResult GradientMatcher::match_impl(const Tensor& x_syn,
     Tensor logits = model_.forward(xs);
     auto ce = nn::weighted_cross_entropy(logits, y_syn);
     res.loss_syn = ce.loss;
-    model_.backward(ce.grad_logits);
+    model_.backward(ce.grad_logits, nn::GradNeed::kParams);
   }
   GradVec g_syn = clone_grads(model_);
 
@@ -181,24 +180,23 @@ MatchResult GradientMatcher::match_impl(const Tensor& x_syn,
   }
   const float eps = fd_scale_ / dnorm;
 
-  // Pass 3: ∇_X L at θ⁺ = θ + ε·∇D.
+  // Pass 3: ∇_X L at θ⁺ = θ + ε·∇D. Passes 3–4 read input gradients only,
+  // so θ's gradient accumulators keep g_syn until the final zero_grad.
   perturb_params(model_, dist.d_syn, eps);
   Tensor gx_plus;
   {
-    model_.zero_grad();
     Tensor logits = model_.forward(xs);
     auto ce = nn::weighted_cross_entropy(logits, y_syn);
-    gx_plus = model_.backward(ce.grad_logits);
+    gx_plus = model_.backward(ce.grad_logits, nn::GradNeed::kInput);
   }
 
   // Pass 4: ∇_X L at θ⁻ = θ − ε·∇D.
   perturb_params(model_, dist.d_syn, -2.0f * eps);
   Tensor gx_minus;
   {
-    model_.zero_grad();
     Tensor logits = model_.forward(xs);
     auto ce = nn::weighted_cross_entropy(logits, y_syn);
-    gx_minus = model_.backward(ce.grad_logits);
+    gx_minus = model_.backward(ce.grad_logits, nn::GradNeed::kInput);
   }
 
   // Restore θ.

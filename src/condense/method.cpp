@@ -434,29 +434,53 @@ float DecoCondenser::apply_feature_discrimination(
     anchor_local.push_back(std::distance(sel.begin(), it));
   }
 
-  Tensor x_sel = buf.gather(sel);
-  Tensor emb = ctx.deployed_model->embed(x_sel);
+  // Only ACTIVE rows receive gradient (Section III-B restricts updates to
+  // the active classes); the other embedded rows only shape the loss. The
+  // encoder treats every sample independently (conv, InstanceNorm, ReLU,
+  // pooling; each GEMM output sums its k terms in ascending order whatever
+  // the batch size), so the passive rows are embedded in a forward-only call
+  // and the active rows in a second one, whose cached activations are then
+  // the only ones back-propagated. Every embedding row, and so the loss, is
+  // bitwise the same as from one batch in `sel` order.
+  nn::ConvNet& model = *ctx.deployed_model;
+  std::unordered_set<int64_t> active_set(active_rows.begin(), active_rows.end());
+  std::vector<int64_t> active_pos, passive_pos;  // positions in sel
+  for (size_t i = 0; i < sel.size(); ++i) {
+    (active_set.count(sel[i]) != 0 ? active_pos : passive_pos)
+        .push_back(static_cast<int64_t>(i));
+  }
+  const int64_t dim = model.feature_dim();
+  Tensor emb({static_cast<int64_t>(sel.size()), dim});
+  auto embed_at = [&](const std::vector<int64_t>& pos) {
+    std::vector<int64_t> rows;
+    rows.reserve(pos.size());
+    for (int64_t p : pos) rows.push_back(sel[static_cast<size_t>(p)]);
+    const Tensor e = model.embed(buf.gather(rows));
+    for (size_t k = 0; k < pos.size(); ++k) {
+      std::copy(e.data() + static_cast<int64_t>(k) * dim,
+                e.data() + static_cast<int64_t>(k + 1) * dim,
+                emb.data() + pos[k] * dim);
+    }
+  };
+  if (!passive_pos.empty()) embed_at(passive_pos);
+  embed_at(active_pos);  // anchors are active rows, so never empty
   auto disc = nn::feature_discrimination_loss(emb, local_labels, anchor_local,
                                               neg_class_of_anchor, config_.tau);
-  Tensor input_grads = ctx.deployed_model->backward_from_embedding(
-      disc.grad_embeddings);
-  ctx.deployed_model->zero_grad();  // discard parameter grads: S is the target
+  const Tensor input_grads =
+      model.backward_from_embedding(take(disc.grad_embeddings, active_pos));
 
   // Stage the discrimination gradient separately so the caller can equalize
-  // its scale against the matching gradient before weighting by α. Only
-  // ACTIVE rows receive gradient (Section III-B restricts updates to the
-  // active classes); the other embedded rows only shape the loss.
+  // its scale against the matching gradient before weighting by α.
   if (disc_scratch_.numel() != buf.grads().numel())
     disc_scratch_ = Tensor(buf.grads().shape());
   disc_scratch_.zero();
-  std::unordered_set<int64_t> active_set(active_rows.begin(), active_rows.end());
   const int64_t per = buf.channels() * buf.height() * buf.width();
   const float* src = input_grads.data();
   float* dst = disc_scratch_.data();
-  for (size_t i = 0; i < sel.size(); ++i) {
-    if (active_set.find(sel[i]) == active_set.end()) continue;
-    std::copy(src + static_cast<int64_t>(i) * per,
-              src + static_cast<int64_t>(i + 1) * per, dst + sel[i] * per);
+  for (size_t k = 0; k < active_pos.size(); ++k) {
+    const int64_t r = sel[static_cast<size_t>(active_pos[k])];
+    std::copy(src + static_cast<int64_t>(k) * per,
+              src + static_cast<int64_t>(k + 1) * per, dst + r * per);
   }
   last_disc_rows_ = std::move(sel);
   return disc_scratch_.norm();
@@ -563,7 +587,7 @@ void BilevelCondenser::condense(const CondenseContext& ctx) {
         scratch_->zero_grad();
         Tensor logits = scratch_->forward(xb);
         auto ce = nn::weighted_cross_entropy(logits, yb);
-        scratch_->backward(ce.grad_logits);
+        scratch_->backward(ce.grad_logits, nn::GradNeed::kParams);
         opt_model.step();
         scratch_->zero_grad();
       }

@@ -69,7 +69,7 @@ void MttCondenser::condense(const CondenseContext& ctx) {
       scratch_->zero_grad();
       Tensor logits = scratch_->forward(*ctx.x_real);
       auto ce = nn::weighted_cross_entropy(logits, *ctx.y_real, w_real);
-      scratch_->backward(ce.grad_logits);
+      scratch_->backward(ce.grad_logits, nn::GradNeed::kParams);
       sgd_step(*scratch_, config_.lr_model);
     }
     const std::vector<Tensor> theta_expert = snapshot(*scratch_);
@@ -81,7 +81,7 @@ void MttCondenser::condense(const CondenseContext& ctx) {
     {
       Tensor logits = scratch_->forward(x_syn);
       auto ce = nn::weighted_cross_entropy(logits, y_syn);
-      scratch_->backward(ce.grad_logits);
+      scratch_->backward(ce.grad_logits, nn::GradNeed::kParams);
     }
     GradVec g_syn = clone_grads(*scratch_);
 
@@ -109,18 +109,16 @@ void MttCondenser::condense(const CondenseContext& ctx) {
     perturb_params(*scratch_, v, eps);
     Tensor gx_plus;
     {
-      scratch_->zero_grad();
       Tensor logits = scratch_->forward(x_syn);
       auto ce = nn::weighted_cross_entropy(logits, y_syn);
-      gx_plus = scratch_->backward(ce.grad_logits);
+      gx_plus = scratch_->backward(ce.grad_logits, nn::GradNeed::kInput);
     }
     perturb_params(*scratch_, v, -2.0f * eps);
     Tensor gx_minus;
     {
-      scratch_->zero_grad();
       Tensor logits = scratch_->forward(x_syn);
       auto ce = nn::weighted_cross_entropy(logits, y_syn);
-      gx_minus = scratch_->backward(ce.grad_logits);
+      gx_minus = scratch_->backward(ce.grad_logits, nn::GradNeed::kInput);
     }
     scratch_->zero_grad();
 

@@ -464,7 +464,7 @@ void train_classifier(nn::ConvNet& model, const Tensor& images,
         model.zero_grad();
         continue;
       }
-      model.backward(ce.grad_logits);
+      model.backward(ce.grad_logits, nn::GradNeed::kParams);
       if (guarded && !guard->admit_gradients(model.parameters())) {
         model.zero_grad();
         continue;
@@ -503,7 +503,7 @@ void train_classifier_soft(nn::ConvNet& model, const Tensor& images,
         model.zero_grad();
         continue;
       }
-      model.backward(ce.grad_logits);
+      model.backward(ce.grad_logits, nn::GradNeed::kParams);
       if (guarded && !guard->admit_gradients(model.parameters())) {
         model.zero_grad();
         continue;

@@ -1,5 +1,6 @@
 #include "deco/eval/report.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
@@ -40,10 +41,17 @@ std::string fmt(double value, int precision) {
   return os.str();
 }
 
-int64_t env_int(const char* name, int64_t fallback) {
+int64_t env_int(const char* name, int64_t fallback, int64_t min_value) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoll(v, nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  DECO_CHECK(end != v && *end == '\0' && errno != ERANGE,
+             std::string(name) + " expects an integer, got '" + v + "'");
+  DECO_CHECK(parsed >= min_value, std::string(name) + " must be >= " +
+                                      std::to_string(min_value) + ", got " + v);
+  return static_cast<int64_t>(parsed);
 }
 
 std::string env_str(const char* name, const std::string& fallback) {

@@ -24,7 +24,7 @@ Tensor ReLU::forward(const Tensor& input) {
   return out;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
+Tensor ReLU::backward(const Tensor& grad_output, GradNeed /*need*/) {
   DECO_CHECK(grad_output.numel() == mask_.numel(),
              "ReLU::backward called without matching forward");
   Tensor grad = grad_output;
@@ -67,7 +67,7 @@ Tensor AvgPool2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
+Tensor AvgPool2d::backward(const Tensor& grad_output, GradNeed /*need*/) {
   DECO_CHECK(!in_shape_.empty(), "AvgPool2d::backward without forward");
   const int64_t N = in_shape_[0], C = in_shape_[1], H = in_shape_[2],
                 W = in_shape_[3];
@@ -142,7 +142,7 @@ Tensor MaxPool2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
+Tensor MaxPool2d::backward(const Tensor& grad_output, GradNeed /*need*/) {
   DECO_CHECK(!in_shape_.empty(), "MaxPool2d::backward without forward");
   DECO_CHECK(grad_output.numel() == static_cast<int64_t>(argmax_.size()),
              "MaxPool2d::backward: grad shape mismatch");
@@ -174,7 +174,7 @@ Tensor Flatten::forward(const Tensor& input) {
   return input.reshaped({input.dim(0), per});
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
+Tensor Flatten::backward(const Tensor& grad_output, GradNeed /*need*/) {
   DECO_CHECK(!in_shape_.empty(), "Flatten::backward without forward");
   return grad_output.reshaped(in_shape_);
 }

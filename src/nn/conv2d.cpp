@@ -63,7 +63,7 @@ Tensor Conv2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+Tensor Conv2d::backward(const Tensor& grad_output, GradNeed need) {
   const int64_t oh = geom_.out_h(), ow = geom_.out_w();
   DECO_CHECK(grad_output.ndim() == 4 && grad_output.dim(0) == last_batch_ &&
                  grad_output.dim(1) == out_channels_ && grad_output.dim(2) == oh &&
@@ -72,6 +72,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                  " does not match forward output");
   const int64_t per_sample = oh * ow;
   const int64_t total_cols = last_batch_ * per_sample;
+  const bool want_params = need != GradNeed::kInput;
 
   // Permute grad NCHW → [out_ch, N*oh*ow] to mirror the forward GEMM layout.
   if (grad_out_mat_.numel() != out_channels_ * total_cols) {
@@ -96,13 +97,16 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
           bacc += src[i];
         }
       }
-      pbg[oc] += static_cast<float>(bacc);
+      if (want_params) pbg[oc] += static_cast<float>(bacc);
     }
   });
 
-  // dW += grad_mat [out_ch, cols] x cols^T [cols, rows], folded straight
-  // into the accumulator — no dw temporary.
-  matmul_nt_acc_into(grad_out_mat_, cols_, weight_grad_);
+  if (want_params) {
+    // dW += grad_mat [out_ch, cols] x cols^T [cols, rows], folded straight
+    // into the accumulator — no dw temporary.
+    matmul_nt_acc_into(grad_out_mat_, cols_, weight_grad_);
+  }
+  if (need == GradNeed::kParams) return Tensor();
 
   // dcols = W^T [rows, out_ch] x grad_mat [out_ch, cols]
   matmul_tn_into(weight_, grad_out_mat_, grad_cols_);

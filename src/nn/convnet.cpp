@@ -40,9 +40,11 @@ Tensor ConvNet::forward(const Tensor& input) {
   return head_->forward(encoder_.forward(input));
 }
 
-Tensor ConvNet::backward(const Tensor& grad_logits) {
+Tensor ConvNet::backward(const Tensor& grad_logits, GradNeed need) {
   DECO_TRACE_SCOPE("nn/backward");
-  return encoder_.backward(head_->backward(grad_logits));
+  // The head is never layer 0: under kParams it must still hand dL/dx down.
+  const GradNeed head_need = need == GradNeed::kParams ? GradNeed::kAll : need;
+  return encoder_.backward(head_->backward(grad_logits, head_need), need);
 }
 
 Tensor ConvNet::embed(const Tensor& input) {
@@ -51,7 +53,7 @@ Tensor ConvNet::embed(const Tensor& input) {
 }
 
 Tensor ConvNet::backward_from_embedding(const Tensor& grad_embedding) {
-  return encoder_.backward(grad_embedding);
+  return encoder_.backward(grad_embedding, GradNeed::kInput);
 }
 
 void ConvNet::collect_params(std::vector<ParamRef>& out) {

@@ -40,25 +40,28 @@ Tensor Linear::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
+Tensor Linear::backward(const Tensor& grad_output, GradNeed need) {
   DECO_CHECK(grad_output.ndim() == 2 && grad_output.dim(0) == input_.dim(0) &&
                  grad_output.dim(1) == out_features_,
              "Linear::backward: grad shape mismatch " + grad_output.shape_str());
   // dW += g^T x (folded straight into the accumulator); db += sum over
   // batch ; dx = g W
-  matmul_tn_acc_into(grad_output, input_, weight_grad_);
-  const int64_t n = grad_output.dim(0);
-  const float* pg = grad_output.data();
-  float* pbg = bias_grad_.data();
-  // Each output feature owns its bias-grad slot; the batch sum per feature
-  // keeps the serial order, so the split is bitwise deterministic.
-  core::parallel_for(0, out_features_, 16, [&](int64_t j0, int64_t j1) {
-    for (int64_t j = j0; j < j1; ++j) {
-      double acc = 0.0;
-      for (int64_t i = 0; i < n; ++i) acc += pg[i * out_features_ + j];
-      pbg[j] += static_cast<float>(acc);
-    }
-  });
+  if (need != GradNeed::kInput) {
+    matmul_tn_acc_into(grad_output, input_, weight_grad_);
+    const int64_t n = grad_output.dim(0);
+    const float* pg = grad_output.data();
+    float* pbg = bias_grad_.data();
+    // Each output feature owns its bias-grad slot; the batch sum per feature
+    // keeps the serial order, so the split is bitwise deterministic.
+    core::parallel_for(0, out_features_, 16, [&](int64_t j0, int64_t j1) {
+      for (int64_t j = j0; j < j1; ++j) {
+        double acc = 0.0;
+        for (int64_t i = 0; i < n; ++i) acc += pg[i * out_features_ + j];
+        pbg[j] += static_cast<float>(acc);
+      }
+    });
+  }
+  if (need == GradNeed::kParams) return Tensor();
   return matmul(grad_output, weight_);
 }
 

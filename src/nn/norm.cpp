@@ -73,14 +73,16 @@ Tensor InstanceNorm2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
+Tensor InstanceNorm2d::backward(const Tensor& grad_output, GradNeed need) {
   DECO_CHECK(!in_shape_.empty(), "InstanceNorm2d::backward without forward");
   DECO_CHECK(grad_output.shape() == in_shape_,
              "InstanceNorm2d::backward: grad shape mismatch");
   const int64_t N = in_shape_[0], H = in_shape_[2], W = in_shape_[3];
   const int64_t M = H * W;
+  const bool want_input = need != GradNeed::kParams;
+  const bool want_params = need != GradNeed::kInput;
 
-  Tensor grad_input(in_shape_);
+  Tensor grad_input = want_input ? Tensor(in_shape_) : Tensor();
   const float* pdy = grad_output.data();
   const float* px = xhat_.data();
   const float* ps = inv_std_.data();
@@ -94,25 +96,27 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
   // γ/β gradients in the fixed serial order, keeping the reduction bitwise
   // identical for every thread count.
   const int64_t planes = N * channels_;
-  std::vector<double> plane_sum_dy(static_cast<size_t>(planes));
-  std::vector<double> plane_sum_dy_xh(static_cast<size_t>(planes));
+  const size_t sums = want_params ? static_cast<size_t>(planes) : 0;
+  std::vector<double> plane_sum_dy(sums);
+  std::vector<double> plane_sum_dy_xh(sums);
   core::parallel_for(0, planes, 1, [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
-      const int64_t c = nc % channels_;
       const float* dy = pdy + nc * M;
       const float* xh = px + nc * M;
-      float* dx = pdx + nc * M;
-      const float g = pg[c];
-      const float inv = ps[nc];
-
       double sum_dy = 0.0, sum_dy_xh = 0.0;
       for (int64_t i = 0; i < M; ++i) {
         sum_dy += dy[i];
         sum_dy_xh += static_cast<double>(dy[i]) * xh[i];
       }
-      plane_sum_dy[static_cast<size_t>(nc)] = sum_dy;
-      plane_sum_dy_xh[static_cast<size_t>(nc)] = sum_dy_xh;
+      if (want_params) {
+        plane_sum_dy[static_cast<size_t>(nc)] = sum_dy;
+        plane_sum_dy_xh[static_cast<size_t>(nc)] = sum_dy_xh;
+      }
+      if (!want_input) continue;
 
+      float* dx = pdx + nc * M;
+      const float g = pg[nc % channels_];
+      const float inv = ps[nc];
       const float mean_dy = static_cast<float>(sum_dy / M);
       const float mean_dy_xh = static_cast<float>(sum_dy_xh / M);
       // dx = γ·inv_std·(dy − mean(dy) − x̂·mean(dy·x̂))
@@ -121,10 +125,10 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
       }
     }
   });
-  for (int64_t nc = 0; nc < planes; ++nc) {
-    const int64_t c = nc % channels_;
-    pbg[c] += static_cast<float>(plane_sum_dy[static_cast<size_t>(nc)]);
-    pgg[c] += static_cast<float>(plane_sum_dy_xh[static_cast<size_t>(nc)]);
+  for (size_t nc = 0; nc < sums; ++nc) {
+    const int64_t c = static_cast<int64_t>(nc) % channels_;
+    pbg[c] += static_cast<float>(plane_sum_dy[nc]);
+    pgg[c] += static_cast<float>(plane_sum_dy_xh[nc]);
   }
   return grad_input;
 }

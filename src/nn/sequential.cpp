@@ -26,11 +26,12 @@ Tensor Sequential::forward(const Tensor& input) {
   return x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
+Tensor Sequential::backward(const Tensor& grad_output, GradNeed need) {
+  const GradNeed upper = need == GradNeed::kParams ? GradNeed::kAll : need;
   Tensor g = grad_output;
   for (size_t i = layers_.size(); i-- > 0;) {
     core::telemetry::ScopedSpan span(*bwd_sites_[i]);
-    g = layers_[i]->backward(g);
+    g = layers_[i]->backward(g, i == 0 ? need : upper);
   }
   return g;
 }

@@ -19,10 +19,6 @@
 namespace deco::core {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 nn::ConvNetConfig model_config(const data::DatasetSpec& spec) {
   nn::ConvNetConfig cfg;
   cfg.in_channels = spec.channels;
@@ -106,7 +102,7 @@ RunEndState run(const data::ProceduralImageWorld& world,
 TEST(CheckpointRecoveryTest, KilledAndResumedRunIsBitExact) {
   data::ProceduralImageWorld world(data::icub1_spec(), 20);
   data::Dataset labeled = world.make_labeled_set(3, 1);
-  const std::string path = temp_path("learner.state");
+  const std::string path = deco::testing::unique_temp_path("learner.state");
 
   const RunEndState clean = run(world, labeled, false, 6, 0, path);
   const RunEndState resumed = run(world, labeled, false, 6, 3, path);
@@ -120,7 +116,7 @@ TEST(CheckpointRecoveryTest, KilledAndResumedRunIsBitExact) {
 TEST(CheckpointRecoveryTest, SoftLabelStateSurvivesResume) {
   data::ProceduralImageWorld world(data::icub1_spec(), 21);
   data::Dataset labeled = world.make_labeled_set(3, 1);
-  const std::string path = temp_path("learner_soft.state");
+  const std::string path = deco::testing::unique_temp_path("learner_soft.state");
 
   const RunEndState clean = run(world, labeled, true, 4, 0, path);
   const RunEndState resumed = run(world, labeled, true, 4, 2, path);
@@ -138,7 +134,7 @@ TEST(CheckpointRecoveryTest, SaveIsAtomic) {
   DecoLearner learner(model, small_config(), 2);
   learner.init_buffer_from(labeled);
 
-  const std::string path = temp_path("atomic.state");
+  const std::string path = deco::testing::unique_temp_path("atomic.state");
   learner.save_state(path);
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.is_open());  // no temp residue after a successful save
@@ -155,7 +151,7 @@ class CorruptStateTest : public ::testing::Test {
     model_ = std::make_unique<nn::ConvNet>(model_config(world_->spec()), mr);
     learner_ = std::make_unique<DecoLearner>(*model_, small_config(), 4);
     learner_->init_buffer_from(*labeled_);
-    path_ = temp_path("corrupt.state");
+    path_ = deco::testing::unique_temp_path("corrupt.state");
     learner_->save_state(path_);
     probe_ = labeled_->batch({0, 1});
     before_ = learner_->model().forward(probe_);

@@ -34,10 +34,6 @@
 namespace deco {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 std::string file_bytes(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   EXPECT_TRUE(is.is_open()) << path;
@@ -573,8 +569,8 @@ nn::ConvNetConfig tiny_net() {
 TEST(CheckpointDtypeTest, Fp32OverloadIsByteIdenticalToLegacy) {
   Rng rng(40);
   nn::ConvNet model(tiny_net(), rng);
-  const std::string a = temp_path("ckpt_legacy.ckpt");
-  const std::string b = temp_path("ckpt_fp32.ckpt");
+  const std::string a = deco::testing::unique_temp_path("ckpt_legacy.ckpt");
+  const std::string b = deco::testing::unique_temp_path("ckpt_fp32.ckpt");
   nn::save_checkpoint(a, model);
   nn::save_checkpoint(b, model, DType::kF32);
   EXPECT_EQ(file_bytes(a), file_bytes(b));
@@ -588,8 +584,8 @@ TEST(CheckpointDtypeTest, QuantizedCheckpointShrinksAndLoads) {
   Tensor probe = deco::testing::random_tensor({2, 1, 8, 8}, rng);
   const Tensor before = model.forward(probe);
 
-  const std::string f32 = temp_path("ckpt_f32.ckpt");
-  const std::string f16 = temp_path("ckpt_f16.ckpt");
+  const std::string f32 = deco::testing::unique_temp_path("ckpt_f32.ckpt");
+  const std::string f16 = deco::testing::unique_temp_path("ckpt_f16.ckpt");
   nn::save_checkpoint(f32, model);
   nn::save_checkpoint(f16, model, DType::kF16);
   EXPECT_LT(file_bytes(f16).size(), file_bytes(f32).size());
@@ -669,8 +665,8 @@ TEST(QuantizedLearnerTest, SaveLoadSaveIsByteIdentical) {
   data::Segment seg;
   while (stream.next(seg)) learner.observe_segment(seg.images);
 
-  const std::string a = temp_path("quant_a.state");
-  const std::string b = temp_path("quant_b.state");
+  const std::string a = deco::testing::unique_temp_path("quant_a.state");
+  const std::string b = deco::testing::unique_temp_path("quant_b.state");
   learner.save_state(a);
 
   Rng mr2(3);
@@ -690,7 +686,7 @@ TEST(QuantizedLearnerTest, KilledAndResumedInt8RunIsBitExact) {
   data::ProceduralImageWorld world(data::icub1_spec(), 52);
   data::Dataset labeled = world.make_labeled_set(3, 1);
   const Tensor probe = labeled.batch({0, 1, 2});
-  const std::string path = temp_path("quant_resume.state");
+  const std::string path = deco::testing::unique_temp_path("quant_resume.state");
 
   auto run = [&](int64_t kill_at) {
     auto make_model = [&] {
@@ -742,7 +738,7 @@ TEST(QuantizedLearnerTest, LoadRejectsMismatchedCachePolicy) {
   nn::ConvNet model(world_net(world.spec()), mr);
   core::DecoLearner q8(model, quant_config(DType::kQ8), 5);
   q8.init_buffer_from(labeled);
-  const std::string path = temp_path("quant_policy.state");
+  const std::string path = deco::testing::unique_temp_path("quant_policy.state");
   q8.save_state(path);
 
   Rng mr2(5);

@@ -345,8 +345,7 @@ TEST(ParallelDeterminismTest, DmCondenser) {
 
 TEST(ParallelDeterminismTest, LearnerTwoSegmentsAndCheckpoint) {
   namespace fs = std::filesystem;
-  const fs::path path =
-      fs::temp_directory_path() / "deco_parallel_determinism_ckpt.bin";
+  const fs::path path = deco::testing::unique_temp_path("ckpt.bin");
   expect_bitwise_invariant([&] {
     Rng rng(21);
     nn::ConvNet model(small_config(), rng);

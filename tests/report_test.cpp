@@ -40,6 +40,33 @@ TEST(EnvTest, IntAndStringFallbacks) {
   unsetenv("DECO_TEST_KNOB");
 }
 
+TEST(EnvTest, IntRejectsMalformedAndOutOfRangeValues) {
+  auto message_for = [](const char* value, int64_t min_value) -> std::string {
+    setenv("DECO_TEST_KNOB", value, 1);
+    try {
+      env_int("DECO_TEST_KNOB", 7, min_value);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const char* bad : {"abc", "12abc", "3 ", "1.5", "-", "99999999999999999999"}) {
+    const std::string msg = message_for(bad, 1);
+    EXPECT_NE(msg.find("DECO_TEST_KNOB"), std::string::npos) << bad << ": " << msg;
+  }
+  EXPECT_NE(message_for("0", 1).find("DECO_TEST_KNOB must be >= 1"),
+            std::string::npos);
+  EXPECT_NE(message_for("-2", 1).find("DECO_TEST_KNOB"), std::string::npos);
+  setenv("DECO_TEST_KNOB", "0", 1);
+  EXPECT_EQ(env_int("DECO_TEST_KNOB", 7, 0), 0);
+  EXPECT_EQ(env_int("DECO_TEST_KNOB", 7), 0);  // no lower bound by default
+  setenv("DECO_TEST_KNOB", "-3", 1);
+  EXPECT_EQ(env_int("DECO_TEST_KNOB", 7), -3);
+  unsetenv("DECO_TEST_KNOB");
+  EXPECT_EQ(env_int("DECO_TEST_KNOB", 0, 1), 0)
+      << "the bound applies to set values, not to the fallback";
+}
+
 TEST(EnvTest, FullScaleSwitch) {
   unsetenv("DECO_BENCH_SCALE");
   EXPECT_FALSE(full_scale());

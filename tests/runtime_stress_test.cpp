@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "deco/core/thread_pool.h"
 #include "deco/runtime/fleet.h"
 #include "deco/runtime/session_manager.h"
+#include "test_util.h"
 
 namespace deco {
 namespace {
@@ -53,8 +55,7 @@ runtime::FleetConfig stress_config(int64_t sessions) {
 
 std::string state_bytes(core::OnDeviceLearner& learner,
                         const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "/deco_stress_" + tag +
-                           ".state";
+  const std::string path = deco::testing::unique_temp_path(tag + ".state");
   learner.save_state(path);
   std::ifstream is(path, std::ios::binary);
   std::ostringstream buf;
@@ -181,7 +182,8 @@ TEST(RuntimeStress, KillAndResumeOneSessionLeavesEveryoneBitExact) {
   runtime::FleetConfig fc = stress_config(3);
   fc.stream.total_segments = 6;
   fc.runtime.checkpoint_every = 3;
-  fc.runtime.checkpoint_dir = ::testing::TempDir();
+  fc.runtime.checkpoint_dir = deco::testing::unique_temp_path("ckpts");
+  std::filesystem::create_directories(fc.runtime.checkpoint_dir);
   data::ProceduralImageWorld world(fc.spec, runtime::Fleet::world_seed(fc));
   const std::vector<std::vector<Tensor>> streams =
       materialize_streams(fc, world);
@@ -223,7 +225,7 @@ TEST(RuntimeStress, KillAndResumeOneSessionLeavesEveryoneBitExact) {
   resumed.learner->load_state(vs.checkpoint_path);
   for (size_t seg = 3; seg < 6; ++seg)
     resumed.learner->observe_segment(streams[static_cast<size_t>(victim)][seg]);
-  std::remove(vs.checkpoint_path.c_str());
+  std::filesystem::remove_all(fc.runtime.checkpoint_dir);
 
   EXPECT_EQ(state_bytes(*resumed.learner, "resumed"),
             ref[static_cast<size_t>(victim)].state)

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "deco/runtime/queue.h"
 #include "deco/runtime/session_manager.h"
 #include "deco/tensor/check.h"
+#include "test_util.h"
 
 namespace deco {
 namespace {
@@ -544,7 +546,8 @@ TEST(SessionManager, PeriodicCheckpointsForStatefulLearners) {
   runtime::RuntimeConfig rc;
   rc.queue_depth = 16;
   rc.checkpoint_every = 2;
-  rc.checkpoint_dir = ::testing::TempDir();
+  rc.checkpoint_dir = deco::testing::unique_temp_path("ckpts");
+  std::filesystem::create_directories(rc.checkpoint_dir);
   runtime::SessionManager mgr(rc);
   Rng rng(1);
   auto model = std::make_shared<nn::ConvNet>(tiny_net_config(), rng);
@@ -561,7 +564,8 @@ TEST(SessionManager, PeriodicCheckpointsForStatefulLearners) {
   std::string content;
   std::getline(is, content);
   EXPECT_EQ(content, "segments=4");
-  std::remove(st.checkpoint_path.c_str());
+  is.close();
+  std::filesystem::remove_all(rc.checkpoint_dir);
 }
 
 TEST(SessionManager, PumpThreadProcessesConcurrentSubmissions) {

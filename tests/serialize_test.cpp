@@ -14,10 +14,6 @@
 namespace deco {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 TEST(SerializeTest, StreamRoundTrip) {
   Rng rng(1);
   Tensor t = deco::testing::random_tensor({2, 3, 4}, rng);
@@ -44,7 +40,7 @@ TEST(SerializeTest, MultipleTensorsInOneStream) {
 TEST(SerializeTest, FileRoundTrip) {
   Rng rng(3);
   Tensor t = deco::testing::random_tensor({4, 4}, rng);
-  const std::string path = temp_path("tensor.bin");
+  const std::string path = deco::testing::unique_temp_path("tensor.bin");
   save_tensor(path, t);
   Tensor back = load_tensor(path);
   EXPECT_EQ(back.l1_distance(t), 0.0f);
@@ -140,7 +136,7 @@ TEST(SerializeTest, Crc32MatchesKnownVector) {
 TEST(SerializeTest, AtomicSaveLeavesNoTempFile) {
   Rng rng(9);
   Tensor t = deco::testing::random_tensor({4}, rng);
-  const std::string path = temp_path("atomic.bin");
+  const std::string path = deco::testing::unique_temp_path("atomic.bin");
   save_tensor(path, t);
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.is_open());
@@ -151,7 +147,7 @@ TEST(SerializeTest, AtomicSaveLeavesNoTempFile) {
 TEST(PpmTest, WritesValidHeaderAndSize) {
   Tensor img({3, 2, 4});
   img.fill(0.5f);
-  const std::string path = temp_path("img.ppm");
+  const std::string path = deco::testing::unique_temp_path("img.ppm");
   write_ppm(path, img);
   std::ifstream is(path, std::ios::binary);
   std::string magic, dims, maxval;
@@ -171,7 +167,7 @@ TEST(PpmTest, WritesValidHeaderAndSize) {
 
 TEST(PpmTest, GrayscaleUsesP5) {
   Tensor img({1, 2, 2});
-  const std::string path = temp_path("img.pgm");
+  const std::string path = deco::testing::unique_temp_path("img.pgm");
   write_ppm(path, img);
   std::ifstream is(path, std::ios::binary);
   std::string magic;
@@ -182,7 +178,7 @@ TEST(PpmTest, GrayscaleUsesP5) {
 
 TEST(PpmTest, RejectsBadChannelCount) {
   Tensor img({2, 2, 2});
-  EXPECT_THROW(write_ppm(temp_path("bad.ppm"), img), Error);
+  EXPECT_THROW(write_ppm(deco::testing::unique_temp_path("bad.ppm"), img), Error);
 }
 
 TEST(CheckpointTest, ModelRoundTripReproducesOutputs) {
@@ -197,7 +193,7 @@ TEST(CheckpointTest, ModelRoundTripReproducesOutputs) {
   Tensor x = deco::testing::random_tensor({2, 2, 8, 8}, rng);
   Tensor y_before = model.forward(x);
 
-  const std::string path = temp_path("model.ckpt");
+  const std::string path = deco::testing::unique_temp_path("model.ckpt");
   nn::save_checkpoint(path, model);
 
   model.reinitialize(rng);
@@ -218,7 +214,7 @@ TEST(CheckpointTest, RejectsMismatchedArchitecture) {
   cfg.width = 4;
   cfg.depth = 2;
   nn::ConvNet model(cfg, rng);
-  const std::string path = temp_path("model2.ckpt");
+  const std::string path = deco::testing::unique_temp_path("model2.ckpt");
   nn::save_checkpoint(path, model);
 
   cfg.width = 8;  // different architecture
@@ -236,7 +232,7 @@ TEST(CheckpointTest, FailedLoadLeavesModelUntouched) {
   cfg.width = 4;
   cfg.depth = 2;
   nn::ConvNet model(cfg, rng);
-  const std::string path = temp_path("model3.ckpt");
+  const std::string path = deco::testing::unique_temp_path("model3.ckpt");
   nn::save_checkpoint(path, model);
 
   cfg.depth = 1;  // different parameter list
@@ -258,7 +254,7 @@ TEST(CheckpointTest, DetectsCorruptedCheckpoint) {
   cfg.width = 4;
   cfg.depth = 1;
   nn::ConvNet model(cfg, rng);
-  const std::string path = temp_path("model4.ckpt");
+  const std::string path = deco::testing::unique_temp_path("model4.ckpt");
   nn::save_checkpoint(path, model);
 
   // Flip a byte in the middle of the file: some tensor's CRC must trip.
@@ -281,7 +277,7 @@ TEST(CheckpointTest, DetectsCorruptedCheckpoint) {
 TEST(CheckpointTest, RejectsWrongFileKind) {
   Rng rng(7);
   Tensor t = deco::testing::random_tensor({3}, rng);
-  const std::string path = temp_path("plain_tensor.bin");
+  const std::string path = deco::testing::unique_temp_path("plain_tensor.bin");
   save_tensor(path, t);
   nn::ConvNetConfig cfg;
   cfg.in_channels = 2;

@@ -265,7 +265,7 @@ TEST(TelemetryExport, ChromeTraceParsesAndMatchesEvents) {
     DECO_TRACE_SCOPE("test/trace_span");
   }
 
-  const std::string path = ::testing::TempDir() + "deco_trace_test.json";
+  const std::string path = deco::testing::unique_temp_path("trace.json");
   telem::write_chrome_trace(path);
   std::string text;
   {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <cmath>
@@ -19,6 +20,23 @@
 #include "deco/tensor/tensor.h"
 
 namespace deco::testing {
+
+/// A path under the gtest temp dir that belongs to the running test alone:
+/// "<suite>.<test>.<pid>.<name>". ctest runs every discovered case as its
+/// own process, concurrently under -j, so a fixed file name would be written
+/// and removed by several cases at once.
+inline std::string unique_temp_path(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string tag = info == nullptr ? std::string("global")
+                                    : std::string(info->test_suite_name()) +
+                                          "." + info->name();
+  for (char& c : tag) {
+    if (c == '/') c = '_';  // parameterized suites and cases contain '/'
+  }
+  return ::testing::TempDir() + tag + "." + std::to_string(::getpid()) + "." +
+         name;
+}
 
 /// Central-difference numeric gradient of a scalar function of a tensor.
 inline Tensor numeric_gradient(const std::function<float(const Tensor&)>& f,

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace deco {
 namespace {
 
@@ -58,8 +60,8 @@ TEST(UmbrellaTest, CheckpointRoundTripThroughStreamedLearner) {
   data::Segment seg;
   while (stream.next(seg)) learner.observe_segment(seg.images);
 
-  const std::string model_path = ::testing::TempDir() + "/power_cycle.ckpt";
-  const std::string buffer_path = ::testing::TempDir() + "/buffer.tensor";
+  const std::string model_path = deco::testing::unique_temp_path("power_cycle.ckpt");
+  const std::string buffer_path = deco::testing::unique_temp_path("buffer.tensor");
   nn::save_checkpoint(model_path, model);
   save_tensor(buffer_path, learner.buffer().images());
 
