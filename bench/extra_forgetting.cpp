@@ -8,7 +8,6 @@
 // below the selection baselines' at equal IpC, because its buffer never
 // evicts — old classes' information is not displaced by new runs.
 #include <iostream>
-#include <memory>
 
 #include "bench_util.h"
 #include "deco/eval/metrics.h"
@@ -30,48 +29,19 @@ Outcome run_with_tracking(const std::string& method, int64_t ipc,
   cfg.ipc = ipc;
   cfg.seed = seed;
 
-  data::ProceduralImageWorld world(cfg.spec, cfg.seed * 7919 + 17);
-  data::Dataset pretrain =
-      world.make_labeled_set(cfg.pretrain_per_class, cfg.seed + 1);
+  const data::ProceduralImageWorld world = eval::make_world(cfg);
   data::Dataset test = world.make_test_set(cfg.test_per_class, cfg.seed + 2);
-
-  nn::ConvNetConfig mc;
-  mc.in_channels = 3;
-  mc.image_h = cfg.spec.height;
-  mc.image_w = cfg.spec.width;
-  mc.num_classes = cfg.spec.num_classes;
-  mc.width = cfg.model_width;
-  mc.depth = cfg.model_depth;
-  Rng rng(cfg.seed * 0x9E37 + 0xC0FFEE);
-  nn::ConvNet model(mc, rng);
-  std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-  for (int64_t i = 0; i < pretrain.size(); ++i) all[static_cast<size_t>(i)] = i;
-  core::train_classifier(model, pretrain.batch(all), pretrain.labels(),
-                         cfg.pretrain_epochs, cfg.deco.lr_model,
-                         cfg.deco.weight_decay, cfg.deco.train_batch, rng);
-
-  std::unique_ptr<core::OnDeviceLearner> learner;
-  if (method == "deco") {
-    core::DecoConfig dc = cfg.deco;
-    dc.ipc = ipc;
-    auto l = std::make_unique<core::DecoLearner>(model, dc, cfg.seed + 3);
-    l->init_buffer_from(pretrain);
-    learner = std::move(l);
-  } else {
-    baselines::BaselineConfig bc = cfg.baseline;
-    bc.ipc = ipc;
-    auto l = std::make_unique<baselines::BaselineLearner>(
-        model, baselines::strategy_from_name(method), bc, cfg.seed + 3);
-    l->init_buffer_from(pretrain);
-    learner = std::move(l);
-  }
+  runtime::LearnerHandle session =
+      runtime::build_session(eval::session_recipe(cfg), world);
+  core::OnDeviceLearner& learner = *session.learner;
+  nn::ConvNet& model = learner.model();
 
   eval::ForgettingTracker tracker;
   tracker.record(eval::per_class_accuracy(model, test));
   data::TemporalStream stream(world, cfg.stream, cfg.seed + 4);
   data::Segment seg;
   while (stream.next(seg)) {
-    learner->observe_segment(seg.images);
+    learner.observe_segment(seg.images);
     if (stream.segments_emitted() % cfg.deco.beta == 0)
       tracker.record(eval::per_class_accuracy(model, test));
   }

@@ -38,24 +38,10 @@ int main() {
     // dedicated pass (RunResult reports all-sample pseudo accuracy; the
     // voting filter's value is the quality of what survives it). We estimate
     // it by running the stream through the pretrained model only.
-    data::ProceduralImageWorld world(cfg.spec, cfg.seed * 7919 + 17);
-    data::Dataset pretrain =
-        world.make_labeled_set(cfg.pretrain_per_class, cfg.seed + 1);
-    nn::ConvNetConfig mc;
-    mc.in_channels = 3;
-    mc.image_h = cfg.spec.height;
-    mc.image_w = cfg.spec.width;
-    mc.num_classes = cfg.spec.num_classes;
-    mc.width = cfg.model_width;
-    mc.depth = cfg.model_depth;
-    Rng rng(cfg.seed * 0x9E37 + 0xC0FFEE);
-    nn::ConvNet model(mc, rng);
-    std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-    for (int64_t i = 0; i < pretrain.size(); ++i)
-      all[static_cast<size_t>(i)] = i;
-    core::train_classifier(model, pretrain.batch(all), pretrain.labels(),
-                           cfg.pretrain_epochs, cfg.deco.lr_model,
-                           cfg.deco.weight_decay, cfg.deco.train_batch, rng);
+    const data::ProceduralImageWorld world = eval::make_world(cfg);
+    runtime::LearnerHandle session =
+        runtime::build_session(eval::session_recipe(cfg), world);
+    nn::ConvNet& model = session.learner->model();
     data::TemporalStream stream(world, cfg.stream, cfg.seed + 4);
     data::Segment seg;
     int64_t kept_correct = 0, kept_total = 0;

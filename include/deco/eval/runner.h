@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,13 +17,14 @@
 #include "deco/data/faults.h"
 #include "deco/data/stream.h"
 #include "deco/data/world.h"
+#include "deco/runtime/session.h"
 
 namespace deco::eval {
 
-/// Which learner drives the run.
-/// "deco" | "random" | "fifo" | "selective_bp" | "kcenter" | "gss"
-/// | "dc" | "dsa" | "dm" (condensation baselines inside the DECO pipeline)
-/// | "mtt" (trajectory-matching extension) | "upper_bound".
+/// One experiment. `method` picks the learner: any of
+/// runtime::session_methods() — "deco", the condensation baselines inside
+/// the DECO pipeline (dc, dsa, dm, mtt), a replay strategy or the oracle
+/// "upper_bound".
 struct RunConfig {
   std::string method = "deco";
   data::DatasetSpec spec;
@@ -74,7 +76,17 @@ struct RunResult {
   int64_t grads_clipped = 0;           ///< gradient-norm clips
 };
 
-RunResult run_experiment(const RunConfig& config);
+/// Runs one experiment. `on_finish`, when set, is called with the learner
+/// after the final evaluation (deco_cli writes its artifacts from it).
+RunResult run_experiment(
+    const RunConfig& config,
+    const std::function<void(core::OnDeviceLearner&)>& on_finish = {});
+
+/// The world and the session recipe run_experiment builds for `config`:
+/// benches that drive the stream themselves use them to get the same
+/// pre-trained session.
+data::ProceduralImageWorld make_world(const RunConfig& config);
+runtime::SessionRecipe session_recipe(const RunConfig& config);
 
 /// Convenience: runs `seeds` seeds (config.seed, +1, …) and collects final
 /// accuracies.

@@ -19,6 +19,7 @@
 
 #include "deco/data/stream.h"
 #include "deco/data/world.h"
+#include "deco/runtime/session.h"
 #include "deco/runtime/session_manager.h"
 
 namespace deco::runtime {
@@ -44,15 +45,6 @@ struct FleetResult {
   int64_t segments_processed = 0;
   double segments_per_second = 0.0;
   std::vector<SessionStatus> sessions;
-};
-
-/// A freshly built learner plus the ownership anchor for resources it
-/// references (the model: DecoLearner holds it by reference). Keep
-/// `keepalive` alive as long as `learner` — SessionManager::add_session
-/// takes both, which is the intended handoff.
-struct LearnerHandle {
-  std::unique_ptr<core::OnDeviceLearner> learner;
-  std::shared_ptr<void> keepalive;
 };
 
 class Fleet {

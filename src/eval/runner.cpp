@@ -5,7 +5,6 @@
 
 #include "deco/core/thread_pool.h"
 #include "deco/eval/metrics.h"
-#include "deco/tensor/check.h"
 
 namespace deco::eval {
 
@@ -15,94 +14,44 @@ double now_seconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-std::unique_ptr<condense::Condenser> make_condenser(const RunConfig& cfg,
-                                                    const nn::ConvNetConfig& mc,
-                                                    uint64_t seed) {
-  if (cfg.method == "deco") {
-    return std::make_unique<condense::DecoCondenser>(mc, cfg.deco.condenser,
-                                                     seed);
-  }
-  if (cfg.method == "dc" || cfg.method == "dsa") {
-    condense::BilevelConfig bc = cfg.bilevel;
-    if (cfg.method == "dsa") {
-      bc.dsa_strategy = "flip_shift_scale_rotate_color_cutout";
-    } else {
-      bc.dsa_strategy.clear();
-    }
-    return std::make_unique<condense::BilevelCondenser>(mc, bc, seed);
-  }
-  if (cfg.method == "dm") {
-    return std::make_unique<condense::DmCondenser>(mc, condense::DmConfig{}, seed);
-  }
-  if (cfg.method == "mtt") {
-    return std::make_unique<condense::MttCondenser>(mc, condense::MttConfig{},
-                                                    seed);
-  }
-  DECO_CHECK(false, "make_condenser: not a condensation method: " + cfg.method);
-  return nullptr;
-}
 }  // namespace
 
-RunResult run_experiment(const RunConfig& config) {
+runtime::SessionRecipe session_recipe(const RunConfig& config) {
+  runtime::SessionRecipe r;
+  r.method = config.method;
+  r.model_width = config.model_width;
+  r.model_depth = config.model_depth;
+  r.ipc = config.ipc;
+  r.deco = config.deco;
+  r.bilevel = config.bilevel;
+  r.baseline = config.baseline;
+  r.labeled_per_class = config.pretrain_per_class;
+  r.pretrain_epochs = config.pretrain_epochs;
+  r.labeled_seed = config.seed + 1;
+  r.model_seed = config.seed * 0x9E37 + 0xC0FFEE;
+  r.learner_seed = config.seed + 3;
+  r.condenser_seed = config.seed ^ 0xD3C0DE;
+  return r;
+}
+
+data::ProceduralImageWorld make_world(const RunConfig& config) {
+  return data::ProceduralImageWorld(config.spec, config.seed * 7919 + 17);
+}
+
+RunResult run_experiment(
+    const RunConfig& config,
+    const std::function<void(core::OnDeviceLearner&)>& on_finish) {
   const double t_start = now_seconds();
+  const runtime::SessionRecipe recipe = session_recipe(config);
+  recipe.validate();
 
-  data::ProceduralImageWorld world(config.spec, config.seed * 7919 + 17);
-  data::Dataset pretrain =
-      world.make_labeled_set(config.pretrain_per_class, config.seed + 1);
+  const data::ProceduralImageWorld world = make_world(config);
   data::Dataset test = world.make_test_set(config.test_per_class, config.seed + 2);
-
-  nn::ConvNetConfig mc;
-  mc.in_channels = config.spec.channels;
-  mc.image_h = config.spec.height;
-  mc.image_w = config.spec.width;
-  mc.num_classes = config.spec.num_classes;
-  mc.width = config.model_width;
-  mc.depth = config.model_depth;
-
-  Rng rng(config.seed * 0x9E37 + 0xC0FFEE);
-  nn::ConvNet model(mc, rng);
-
-  // Pre-deployment training on the small labeled subset (paper: 1–10%).
-  {
-    std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-    for (int64_t i = 0; i < pretrain.size(); ++i) all[static_cast<size_t>(i)] = i;
-    core::train_classifier(model, pretrain.batch(all), pretrain.labels(),
-                           config.pretrain_epochs, config.deco.lr_model,
-                           config.deco.weight_decay, config.deco.train_batch,
-                           rng);
-  }
+  runtime::LearnerHandle session = runtime::build_session(recipe, world);
+  core::OnDeviceLearner& learner = *session.learner;
 
   RunResult result;
-  result.pretrain_accuracy = accuracy(model, test);
-
-  // Build the learner.
-  std::unique_ptr<core::OnDeviceLearner> learner;
-  core::DecoConfig dc = config.deco;
-  dc.ipc = config.ipc;
-  baselines::BaselineConfig bc = config.baseline;
-  bc.ipc = config.ipc;
-
-  if (config.method == "deco" || config.method == "dc" ||
-      config.method == "dsa" || config.method == "dm" ||
-      config.method == "mtt") {
-    auto condenser = make_condenser(config, mc, config.seed ^ 0xD3C0DE);
-    auto deco = std::make_unique<core::DecoLearner>(model, dc, config.seed + 3,
-                                                    std::move(condenser));
-    deco->init_buffer_from(pretrain);
-    learner = std::move(deco);
-  } else if (config.method == "upper_bound") {
-    auto ub =
-        std::make_unique<baselines::UnlimitedLearner>(model, bc, config.seed + 3);
-    ub->init_buffer_from(pretrain);
-    learner = std::move(ub);
-  } else {
-    auto strat = baselines::strategy_from_name(config.method);
-    auto bl = std::make_unique<baselines::BaselineLearner>(model, strat, bc,
-                                                           config.seed + 3);
-    bl->init_buffer_from(pretrain);
-    learner = std::move(bl);
-  }
+  result.pretrain_accuracy = accuracy(learner.model(), test);
 
   // Stream replay, optionally through the sensor-fault injector.
   data::TemporalStream stream(world, config.stream, config.seed + 4);
@@ -121,8 +70,8 @@ RunResult run_experiment(const RunConfig& config) {
   const bool oracle = config.method == "upper_bound";
   while (next_segment(seg)) {
     core::SegmentReport rep =
-        oracle ? learner->observe_labeled_segment(seg.images, seg.true_labels)
-               : learner->observe_segment(seg.images);
+        oracle ? learner.observe_labeled_segment(seg.images, seg.true_labels)
+               : learner.observe_segment(seg.images);
 
     for (size_t i = 0; i < rep.pseudo_labels.size(); ++i) {
       if (rep.pseudo_labels[i] == seg.true_labels[i]) ++pseudo_correct;
@@ -138,13 +87,13 @@ RunResult run_experiment(const RunConfig& config) {
     if (config.eval_every_segments > 0 &&
         stream.segments_emitted() % config.eval_every_segments == 0) {
       result.curve.push_back(
-          {stream.samples_emitted(), accuracy(learner->model(), test)});
+          {stream.samples_emitted(), accuracy(learner.model(), test)});
     }
   }
 
   if (faulty != nullptr) result.faults = faulty->log();
-  result.final_accuracy = accuracy(learner->model(), test);
-  result.condense_seconds = learner->condense_seconds();
+  result.final_accuracy = accuracy(learner.model(), test);
+  result.condense_seconds = learner.condense_seconds();
   result.total_seconds = now_seconds() - t_start;
   result.pseudo_label_accuracy =
       pseudo_total > 0
@@ -154,6 +103,7 @@ RunResult run_experiment(const RunConfig& config) {
       pseudo_total > 0
           ? static_cast<double>(retained_total) / static_cast<double>(pseudo_total)
           : 0.0;
+  if (on_finish) on_finish(learner);
   return result;
 }
 

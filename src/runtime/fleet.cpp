@@ -39,24 +39,21 @@ uint64_t Fleet::stream_seed(const FleetConfig& config, int64_t i) {
 LearnerHandle Fleet::make_learner(const FleetConfig& config,
                                   const data::ProceduralImageWorld& world,
                                   int64_t i) {
-  nn::ConvNetConfig mc;
-  mc.in_channels = config.spec.channels;
-  mc.image_h = config.spec.height;
-  mc.image_w = config.spec.width;
-  mc.num_classes = config.spec.num_classes;
-  mc.width = config.model_width;
-  mc.depth = config.model_depth;
-
   // Session i's model and learner get their own seed lineage, so sessions are
-  // numerically independent and each is reproducible in isolation.
+  // numerically independent and each is reproducible in isolation. Fleet
+  // sessions start from the untrained model.
   const uint64_t si = static_cast<uint64_t>(i);
-  Rng model_rng(config.seed * 0x9E37 + si * 1315423911ull + 0xC0FFEE);
-  auto model = std::make_shared<nn::ConvNet>(mc, model_rng);
-  auto learner = std::make_unique<core::DecoLearner>(
-      *model, config.deco, config.seed + 1000 + si);
-  learner->init_buffer_from(
-      world.make_labeled_set(config.labeled_per_class, config.seed + 1));
-  return LearnerHandle{std::move(learner), std::move(model)};
+  SessionRecipe r;
+  r.model_width = config.model_width;
+  r.model_depth = config.model_depth;
+  r.ipc = config.deco.ipc;
+  r.deco = config.deco;
+  r.labeled_per_class = config.labeled_per_class;
+  r.labeled_seed = config.seed + 1;
+  r.model_seed = config.seed * 0x9E37 + si * 1315423911ull + 0xC0FFEE;
+  r.learner_seed = config.seed + 1000 + si;
+  r.condenser_seed = r.learner_seed ^ 0xD3C0;
+  return build_session(r, world);
 }
 
 Fleet::Fleet(FleetConfig config)

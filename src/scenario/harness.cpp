@@ -8,10 +8,10 @@
 #include <memory>
 #include <utility>
 
-#include "deco/baselines/replay.h"
 #include "deco/core/learner.h"
 #include "deco/core/thread_pool.h"
 #include "deco/eval/metrics.h"
+#include "deco/runtime/session.h"
 #include "deco/runtime/session_manager.h"
 #include "deco/tensor/check.h"
 
@@ -23,41 +23,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-bool is_condensation_method(const std::string& m) {
-  return m == "deco" || m == "dc" || m == "dsa" || m == "dm" || m == "mtt";
-}
-
-bool is_known_method(const std::string& m) {
-  if (is_condensation_method(m) || m == "upper_bound") return true;
-  try {
-    (void)baselines::strategy_from_name(m);
-    return true;
-  } catch (const Error&) {
-    return false;
-  }
-}
-
-std::unique_ptr<condense::Condenser> make_condenser(
-    const std::string& method, const nn::ConvNetConfig& mc,
-    const condense::DecoCondenserConfig& deco_cfg, uint64_t seed) {
-  if (method == "deco")
-    return std::make_unique<condense::DecoCondenser>(mc, deco_cfg, seed);
-  if (method == "dc" || method == "dsa") {
-    condense::BilevelConfig bc;
-    bc.dsa_strategy =
-        method == "dsa" ? "flip_shift_scale_rotate_color_cutout" : "";
-    return std::make_unique<condense::BilevelCondenser>(mc, bc, seed);
-  }
-  if (method == "dm")
-    return std::make_unique<condense::DmCondenser>(mc, condense::DmConfig{},
-                                                   seed);
-  if (method == "mtt")
-    return std::make_unique<condense::MttCondenser>(mc, condense::MttConfig{},
-                                                    seed);
-  DECO_CHECK(false, "scenario: not a condensation method: " + method);
-  return nullptr;
 }
 
 /// Everything one session needs outside the SessionManager: its world and
@@ -101,10 +66,25 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
                     const HarnessOptions& options) {
   spec.validate();
   options.validate();
-  DECO_CHECK(is_known_method(method),
-             "scenario: unknown method '" + method + "'");
-  const double t_start = now_seconds();
   const uint64_t seed = options.seed;
+  // What every session shares; the loop adds its variant and seed lineage.
+  runtime::SessionRecipe base;
+  base.method = method;
+  base.model_width = options.model_width;
+  base.model_depth = options.model_depth;
+  base.ipc = options.ipc;
+  base.deco.storage.cache_dtype = spec.cache_dtype;
+  base.deco.beta = options.beta;
+  base.deco.model_update_epochs = options.model_update_epochs;
+  base.deco.condenser.iterations = options.condenser_iterations;
+  base.baseline.storage.cache_dtype = spec.cache_dtype;
+  base.baseline.beta = options.beta;
+  base.baseline.model_update_epochs = options.model_update_epochs;
+  base.labeled_per_class = options.pretrain_per_class;
+  base.pretrain_epochs = options.pretrain_epochs;
+  base.labeled_seed = seed + 1;
+  base.validate();
+  const double t_start = now_seconds();
 
   data::StreamConfig sc = spec.stream;
   if (options.segments > 0) sc.total_segments = options.segments;
@@ -133,73 +113,22 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
     // variants observe the same world, heterogeneous ones get their own.
     ctx.world =
         std::make_unique<data::ProceduralImageWorld>(ds, seed * 7919 + 17);
-    data::Dataset pretrain =
-        ctx.world->make_labeled_set(options.pretrain_per_class, seed + 1);
     ctx.test = std::make_unique<data::Dataset>(
         ctx.world->make_test_set(options.test_per_class, seed + 2));
 
-    nn::ConvNetConfig mc;
-    mc.in_channels = ds.channels;
-    mc.image_h = ds.height;
-    mc.image_w = ds.width;
-    mc.num_classes = ds.num_classes;
-    mc.width = variant.model_width > 0 ? variant.model_width
-                                       : options.model_width;
-    mc.depth = options.model_depth;
-
-    Rng model_rng(seed * 0x9E37 + si * 1315423911ull + 0xC0FFEE);
-    auto model = std::make_shared<nn::ConvNet>(mc, model_rng);
-    {
-      std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-      for (int64_t k = 0; k < pretrain.size(); ++k)
-        all[static_cast<size_t>(k)] = k;
-      core::train_classifier(*model, pretrain.batch(all), pretrain.labels(),
-                             options.pretrain_epochs, 1e-3f, 5e-4f, 32,
-                             model_rng);
-    }
-
-    const int64_t ipc = variant.ipc > 0 ? variant.ipc : options.ipc;
-    std::unique_ptr<core::OnDeviceLearner> learner;
-    if (is_condensation_method(method)) {
-      core::DecoConfig dc;
-      dc.ipc = ipc;
-      dc.storage.cache_dtype = spec.cache_dtype;
-      dc.beta = options.beta;
-      dc.model_update_epochs = options.model_update_epochs;
-      dc.condenser.iterations = options.condenser_iterations;
-      auto condenser = make_condenser(method, mc, dc.condenser,
-                                      (seed + si * 977) ^ 0xD3C0DE);
-      auto deco = std::make_unique<core::DecoLearner>(
-          *model, dc, seed + 1000 + si, std::move(condenser));
-      deco->init_buffer_from(pretrain);
-      learner = std::move(deco);
-    } else if (method == "upper_bound") {
-      baselines::BaselineConfig bc;
-      bc.ipc = ipc;
-      bc.storage.cache_dtype = spec.cache_dtype;
-      bc.beta = options.beta;
-      bc.model_update_epochs = options.model_update_epochs;
-      auto ub = std::make_unique<baselines::UnlimitedLearner>(
-          *model, bc, seed + 1000 + si);
-      ub->init_buffer_from(pretrain);
-      learner = std::move(ub);
-    } else {
-      baselines::BaselineConfig bc;
-      bc.ipc = ipc;
-      bc.storage.cache_dtype = spec.cache_dtype;
-      bc.beta = options.beta;
-      bc.model_update_epochs = options.model_update_epochs;
-      auto bl = std::make_unique<baselines::BaselineLearner>(
-          *model, baselines::strategy_from_name(method), bc,
-          seed + 1000 + si);
-      bl->init_buffer_from(pretrain);
-      learner = std::move(bl);
-    }
+    runtime::SessionRecipe recipe = base;
+    if (variant.model_width > 0) recipe.model_width = variant.model_width;
+    if (variant.ipc > 0) recipe.ipc = variant.ipc;
+    recipe.model_seed = seed * 0x9E37 + si * 1315423911ull + 0xC0FFEE;
+    recipe.learner_seed = seed + 1000 + si;
+    recipe.condenser_seed = (seed + si * 977) ^ 0xD3C0DE;
+    runtime::LearnerHandle session = runtime::build_session(recipe, *ctx.world);
     // Under a memory-pressure budget, admission is expected to reject part
     // of the fleet — that's the measurement, not a failure. Rejected
     // sessions get no stream and drop out of every metric below.
     try {
-      manager.add_session(ctx.name, std::move(learner), model);
+      manager.add_session(ctx.name, std::move(session.learner),
+                          std::move(session.keepalive));
     } catch (const Error&) {
       ctx.admitted = false;
       continue;

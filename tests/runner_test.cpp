@@ -81,7 +81,16 @@ TEST(RunnerTest, RunSeedsProducesOnePerSeed) {
 
 TEST(RunnerTest, UnknownMethodThrows) {
   RunConfig cfg = mini_config("definitely_not_a_method");
-  EXPECT_THROW(run_experiment(cfg), Error);
+  try {
+    run_experiment(cfg);
+    FAIL() << "unknown method accepted";
+  } catch (const Error& e) {
+    // The message lists every valid name, including the non-replay ones.
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("definitely_not_a_method"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("mtt"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("upper_bound"), std::string::npos) << msg;
+  }
 }
 
 TEST(RunnerTest, DcRunsEndToEndSmall) {

@@ -384,9 +384,15 @@ TEST(ScenarioHarness, BurstyCellShedsAndAccountsEverySegment) {
 }
 
 TEST(ScenarioHarness, RejectsUnknownMethodAndBadOptions) {
-  EXPECT_THROW(scenario::run_cell(scenario::scenario_by_name("clean"),
-                                  "not_a_method", tiny_options()),
-               Error);
+  try {
+    scenario::run_cell(scenario::scenario_by_name("clean"), "not_a_method",
+                       tiny_options());
+    FAIL() << "unknown method accepted";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("mtt"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("upper_bound"), std::string::npos) << msg;
+  }
   scenario::HarnessOptions bad = tiny_options();
   bad.ipc = 0;
   EXPECT_THROW(scenario::run_cell(scenario::scenario_by_name("clean"), "fifo",

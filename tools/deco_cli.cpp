@@ -28,23 +28,15 @@
 #include "deco/nn/checkpoint.h"
 #include "deco/runtime/config.h"
 #include "deco/runtime/fleet.h"
+#include "deco/runtime/session.h"
 #include "deco/scenario/harness.h"
+#include "deco/scenario/scenario.h"
 #include "deco/tensor/check.h"
 #include "deco/tensor/serialize.h"
 
 using namespace deco;
 
 namespace {
-
-data::DatasetSpec spec_by_name(const std::string& name) {
-  if (name == "icub1") return data::icub1_spec();
-  if (name == "core50") return data::core50_spec();
-  if (name == "cifar100") return data::cifar100_spec();
-  if (name == "imagenet10") return data::imagenet10_spec();
-  if (name == "cifar10") return data::cifar10_spec();
-  DECO_CHECK(false, "unknown dataset '" + name + "'");
-  return {};
-}
 
 // Collects --config / --set sources in order; build() materializes them into
 // one ConfigMap (file entries first, then overrides — later wins).
@@ -84,17 +76,19 @@ struct RunOptions {
   int64_t eval_every = 0;
   int64_t width = 32;
   int64_t depth = 3;
-  std::string pooling = "avg";
   std::string dump_buffer;   // directory for PPM dumps of the buffer
   std::string save_model;    // checkpoint path
   ConfigSources config;
 };
 
 void print_run_help() {
+  std::string methods;
+  for (const std::string& m : runtime::session_methods())
+    methods += (methods.empty() ? "" : " | ") + m;
   std::printf(
       "deco_cli run — single-learner experiment\n\n"
-      "  --method M       deco | random | fifo | selective_bp | kcenter | gss\n"
-      "                   | dc | dsa | dm | upper_bound      (default deco)\n"
+      "  --method M       %s\n"
+      "                   (default deco)\n"
       "  --dataset D      icub1 | core50 | cifar100 | imagenet10 | cifar10\n"
       "  --ipc N          synthetic/real images per class     (default 10)\n"
       "  --segments N     stream length in segments           (default 10)\n"
@@ -110,11 +104,11 @@ void print_run_help() {
       "  --eval-every N   record a learning-curve point every N segments\n"
       "  --width N        ConvNet width                       (default 32)\n"
       "  --depth N        ConvNet conv blocks                 (default 3)\n"
-      "  --pooling P      avg | max                           (default avg)\n"
       "  --dump-buffer DIR  write the final synthetic buffer as PPM images\n"
       "  --save-model PATH  write the final model checkpoint\n"
       "  --config FILE    key=value (or .json) config file: deco.*, stream.*\n"
-      "  --set key=value  single config override (repeatable)\n");
+      "  --set key=value  single config override (repeatable)\n",
+      methods.c_str());
 }
 
 bool parse_run_args(int argc, char** argv, int first, RunOptions& opt) {
@@ -138,7 +132,6 @@ bool parse_run_args(int argc, char** argv, int first, RunOptions& opt) {
     else if (a == "--eval-every") opt.eval_every = std::atoll(next());
     else if (a == "--width") opt.width = std::atoll(next());
     else if (a == "--depth") opt.depth = std::atoll(next());
-    else if (a == "--pooling") opt.pooling = next();
     else if (a == "--dump-buffer") opt.dump_buffer = next();
     else if (a == "--save-model") opt.save_model = next();
     else if (a == "--config") opt.config.file = next();
@@ -148,75 +141,6 @@ bool parse_run_args(int argc, char** argv, int first, RunOptions& opt) {
   return true;
 }
 
-// Dedicated path when artifacts are requested: run one DECO experiment with
-// direct access to the learner so we can dump its buffer / model afterwards.
-void run_with_artifacts(const RunOptions& opt, runtime::ConfigMap& cm) {
-  const data::DatasetSpec spec = spec_by_name(opt.dataset);
-  data::ProceduralImageWorld world(spec, opt.seed * 7919 + 17);
-  data::Dataset pretrain = world.make_labeled_set(6, opt.seed + 1);
-  data::Dataset test = world.make_test_set(30, opt.seed + 2);
-
-  nn::ConvNetConfig mc;
-  mc.in_channels = spec.channels;
-  mc.image_h = spec.height;
-  mc.image_w = spec.width;
-  mc.num_classes = spec.num_classes;
-  mc.width = opt.width;
-  mc.depth = opt.depth;
-  mc.pooling = opt.pooling == "max" ? nn::Pooling::kMax : nn::Pooling::kAvg;
-
-  Rng rng(opt.seed * 0x9E37 + 0xC0FFEE);
-  nn::ConvNet model(mc, rng);
-  std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-  for (int64_t i = 0; i < pretrain.size(); ++i) all[static_cast<size_t>(i)] = i;
-  core::train_classifier(model, pretrain.batch(all), pretrain.labels(), 20,
-                         1e-3f, 5e-4f, 32, rng);
-  std::printf("pretrain accuracy: %.2f%%\n", eval::accuracy(model, test));
-
-  core::DecoConfig cfg;
-  cfg.ipc = opt.ipc;
-  cfg.beta = opt.beta;
-  cfg.model_update_epochs = opt.epochs;
-  cfg.threshold_m = opt.threshold_m;
-  cfg.condenser.alpha = opt.alpha;
-  cfg.condenser.iterations = opt.iterations;
-  data::StreamConfig sc;
-  sc.stc = opt.stc;
-  sc.segment_size = opt.segment_size;
-  sc.total_segments = opt.segments;
-  cm.apply(cfg);
-  cm.apply(sc);
-  cm.check_fully_consumed();
-
-  core::DecoLearner learner(model, cfg, opt.seed + 3);
-  learner.init_buffer_from(pretrain);
-
-  data::TemporalStream stream(world, sc, opt.seed + 4);
-  data::Segment seg;
-  while (stream.next(seg)) learner.observe_segment(seg.images);
-
-  std::printf("final accuracy:    %.2f%%  (condense %.1fs)\n",
-              eval::accuracy(model, test), learner.condense_seconds());
-
-  if (!opt.dump_buffer.empty()) {
-    auto& buf = learner.buffer();
-    for (int64_t r = 0; r < buf.size(); ++r) {
-      Tensor img = buf.gather({r}).reshaped(
-          {spec.channels, spec.height, spec.width});
-      const std::string path = opt.dump_buffer + "/class" +
-                               std::to_string(buf.label(r)) + "_slot" +
-                               std::to_string(r % buf.ipc()) + ".ppm";
-      write_ppm(path, img);
-    }
-    std::printf("wrote %lld synthetic images to %s\n",
-                static_cast<long long>(buf.size()), opt.dump_buffer.c_str());
-  }
-  if (!opt.save_model.empty()) {
-    nn::save_checkpoint(opt.save_model, model);
-    std::printf("saved model checkpoint to %s\n", opt.save_model.c_str());
-  }
-}
-
 int cmd_run(int argc, char** argv, int first) {
   RunOptions opt;
   if (!parse_run_args(argc, argv, first, opt)) {
@@ -224,17 +148,16 @@ int cmd_run(int argc, char** argv, int first) {
     return 0;
   }
   runtime::ConfigMap cm = opt.config.build();
-
   if (!opt.dump_buffer.empty() || !opt.save_model.empty()) {
     DECO_CHECK(opt.method == "deco",
                "--dump-buffer/--save-model require --method deco");
-    run_with_artifacts(opt, cm);
-    return 0;
+    DECO_CHECK(opt.seeds == 1,
+               "--dump-buffer/--save-model write one run; use --seeds 1");
   }
 
   eval::RunConfig cfg;
   cfg.method = opt.method;
-  cfg.spec = spec_by_name(opt.dataset);
+  cfg.spec = scenario::dataset_spec_by_name(opt.dataset);
   cfg.stream.stc = opt.stc;
   cfg.stream.segment_size = opt.segment_size;
   cfg.stream.total_segments = opt.segments;
@@ -258,10 +181,31 @@ int cmd_run(int argc, char** argv, int first) {
   cm.apply(cfg.stream);
   cm.check_fully_consumed();
 
+  // Artifacts come from the finished learner of the (single) run.
+  auto write_artifacts = [&](core::OnDeviceLearner& learner) {
+    if (!opt.dump_buffer.empty()) {
+      auto& buf = dynamic_cast<core::DecoLearner&>(learner).buffer();
+      for (int64_t r = 0; r < buf.size(); ++r) {
+        Tensor img = buf.gather({r}).reshaped(
+            {cfg.spec.channels, cfg.spec.height, cfg.spec.width});
+        const std::string path = opt.dump_buffer + "/class" +
+                                 std::to_string(buf.label(r)) + "_slot" +
+                                 std::to_string(r % buf.ipc()) + ".ppm";
+        write_ppm(path, img);
+      }
+      std::printf("wrote %lld synthetic images to %s\n",
+                  static_cast<long long>(buf.size()), opt.dump_buffer.c_str());
+    }
+    if (!opt.save_model.empty()) {
+      nn::save_checkpoint(opt.save_model, learner.model());
+      std::printf("saved model checkpoint to %s\n", opt.save_model.c_str());
+    }
+  };
+
   std::vector<float> finals;
   for (int64_t s = 0; s < opt.seeds; ++s) {
     cfg.seed = opt.seed + static_cast<uint64_t>(s);
-    const auto res = eval::run_experiment(cfg);
+    const auto res = eval::run_experiment(cfg, write_artifacts);
     std::printf("seed %llu: pretrain %.2f%% -> final %.2f%%  "
                 "(pseudo-label acc %.1f%%, retained %.1f%%, condense %.1fs)\n",
                 static_cast<unsigned long long>(cfg.seed),
@@ -340,7 +284,7 @@ int cmd_serve(int argc, char** argv, int first) {
 
   runtime::FleetConfig fc;
   fc.sessions = opt.sessions;
-  fc.spec = spec_by_name(opt.dataset);
+  fc.spec = scenario::dataset_spec_by_name(opt.dataset);
   fc.stream.stc = opt.stc;
   fc.stream.segment_size = opt.segment_size;
   fc.stream.total_segments = opt.segments;
@@ -683,7 +627,7 @@ int cmd_bench(int argc, char** argv, int first) {
   for (size_t i = 0; i < sessions.size(); ++i) {
     runtime::FleetConfig fc;
     fc.sessions = sessions[i];
-    fc.spec = spec_by_name("core50");
+    fc.spec = scenario::dataset_spec_by_name("core50");
     fc.stream.stc = 16;
     fc.stream.segment_size = 16;
     fc.stream.total_segments = segments;
