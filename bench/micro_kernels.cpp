@@ -2,20 +2,11 @@
 // DECO's on-device cost: the ConvNet forward/backward passes, the GEMMs
 // behind them, the gradient-distance computation, one full matching step and
 // the procedural renderer. These quantify the per-layer cost model that
-// DESIGN.md's scaling decisions rest on.
-//
-// Before the gbench suite runs, main() sweeps the GEMM shapes that matter —
-// square 64/192/512 plus the conv-shaped skinny GEMMs the ConvNet actually
-// issues — against an in-binary naive reference and writes BENCH_kernels.json
-// (ms and GFLOP/s for both kernels), so the perf trajectory is
-// machine-readable across PRs.
+// DESIGN.md's scaling decisions rest on. The *Threads variants time three
+// hot kernels at 1/2/4/8 pool threads. The packed-vs-naive GEMM shape sweep
+// (BENCH_kernels.json) lives in perf_smoke.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <fstream>
-#include <functional>
-#include <iostream>
-#include <string>
 #include <vector>
 
 #include "deco/condense/grad_distance.h"
@@ -213,135 +204,6 @@ void BM_RenderFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderFrame);
 
-// ---- BENCH_kernels.json shape sweep -----------------------------------------
-// Packed kernel vs an in-binary naive reference (the pre-blocking i-k-j
-// loop), single-threaded so the numbers compare across PRs and runners.
-
-enum class GemmOp { NN, TN, NT };
-
-struct SweepShape {
-  std::string name;
-  GemmOp op;
-  int64_t m, n, k;
-};
-
-// The naive kernel this PR replaced, kept here as the measurement baseline.
-void naive_gemm(GemmOp op, const Tensor& a, const Tensor& b, Tensor& out) {
-  const int64_t m = out.dim(0), n = out.dim(1);
-  const int64_t k = op == GemmOp::TN ? a.dim(0) : a.dim(1);
-  out.zero();
-  float* po = out.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < m; ++i) {
-    float* orow = po + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = op == GemmOp::TN ? pa[kk * m + i] : pa[i * k + kk];
-      if (op == GemmOp::NT) {
-        for (int64_t j = 0; j < n; ++j) orow[j] += aik * pb[j * k + kk];
-      } else {
-        const float* brow = pb + kk * n;
-        for (int64_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-      }
-    }
-  }
-}
-
-double time_ms(const std::function<void()>& op) {
-  using clock = std::chrono::steady_clock;
-  op();  // warm-up (and workspace/pool priming)
-  // Calibrate the iteration count for ~0.25 s of measurement.
-  auto t0 = clock::now();
-  op();
-  const double once =
-      std::chrono::duration<double>(clock::now() - t0).count();
-  const int iters =
-      std::max(3, static_cast<int>(0.25 / std::max(once, 1e-6)));
-  t0 = clock::now();
-  for (int i = 0; i < iters; ++i) op();
-  const double total =
-      std::chrono::duration<double>(clock::now() - t0).count();
-  return total / iters * 1e3;
-}
-
-void write_kernels_json() {
-  const int saved = core::num_threads();
-  core::set_num_threads(1);
-
-  // The conv-shaped GEMMs the paper-config ConvNet issues at batch 32: the
-  // forward product per conv block and the two backward products (dW and
-  // dcols) of the widest block.
-  const nn::ConvNetConfig mc = paper_config();
-  const int64_t batch = 32;
-  const Conv2dGeometry g1{mc.in_channels, mc.image_h, mc.image_w, 3, 3, 1, 1};
-  const Conv2dGeometry g2{mc.width, mc.image_h / 2, mc.image_w / 2, 3, 3, 1, 1};
-  const int64_t cols1 = batch * g1.out_h() * g1.out_w();
-  const int64_t cols2 = batch * g2.out_h() * g2.out_w();
-
-  std::vector<SweepShape> shapes;
-  for (int64_t s : {64, 192, 512})
-    shapes.push_back({"matmul_" + std::to_string(s), GemmOp::NN, s, s, s});
-  shapes.push_back({"conv1_fwd", GemmOp::NN, mc.width, cols1, g1.col_rows()});
-  shapes.push_back({"conv2_fwd", GemmOp::NN, mc.width, cols2, g2.col_rows()});
-  shapes.push_back({"conv2_dw", GemmOp::NT, mc.width, g2.col_rows(), cols2});
-  shapes.push_back({"conv2_dcols", GemmOp::TN, g2.col_rows(), cols2, mc.width});
-
-  std::ofstream js("BENCH_kernels.json");
-  js << "{\n  \"threads\": 1,\n  \"shapes\": {\n";
-  Rng rng(9);
-  bool first = true;
-  for (const SweepShape& s : shapes) {
-    // Operand layouts per op: NN a[m,k] b[k,n]; TN a[k,m] b[k,n]; NT a[m,k]
-    // b[n,k].
-    Tensor a(s.op == GemmOp::TN ? std::vector<int64_t>{s.k, s.m}
-                                : std::vector<int64_t>{s.m, s.k});
-    Tensor b(s.op == GemmOp::NT ? std::vector<int64_t>{s.n, s.k}
-                                : std::vector<int64_t>{s.k, s.n});
-    rng.fill_normal(a, 0, 1);
-    rng.fill_normal(b, 0, 1);
-    Tensor out({s.m, s.n}), ref({s.m, s.n});
-
-    const double packed_ms = time_ms([&] {
-      switch (s.op) {
-        case GemmOp::NN: matmul_into(a, b, out); break;
-        case GemmOp::TN: matmul_tn_into(a, b, out); break;
-        case GemmOp::NT: matmul_nt_into(a, b, out); break;
-      }
-    });
-    const double naive_ms = time_ms([&] { naive_gemm(s.op, a, b, ref); });
-    const double flop = 2.0 * static_cast<double>(s.m) *
-                        static_cast<double>(s.n) * static_cast<double>(s.k);
-    const double packed_gflops = flop / (packed_ms * 1e-3) * 1e-9;
-    const double naive_gflops = flop / (naive_ms * 1e-3) * 1e-9;
-
-    if (!first) js << ",\n";
-    first = false;
-    const char* opname = s.op == GemmOp::NN ? "nn"
-                         : s.op == GemmOp::TN ? "tn"
-                                              : "nt";
-    js << "    \"" << s.name << "\": {\"op\": \"" << opname
-       << "\", \"m\": " << s.m << ", \"n\": " << s.n << ", \"k\": " << s.k
-       << ", \"packed_ms\": " << packed_ms
-       << ", \"packed_gflops\": " << packed_gflops
-       << ", \"naive_ms\": " << naive_ms
-       << ", \"naive_gflops\": " << naive_gflops
-       << ", \"speedup\": " << naive_ms / packed_ms << "}";
-    std::cout << s.name << ": packed " << packed_gflops << " GFLOP/s, naive "
-              << naive_gflops << " GFLOP/s (" << naive_ms / packed_ms
-              << "x)\n";
-  }
-  js << "\n  }\n}\n";
-  std::cout << "wrote BENCH_kernels.json\n";
-  core::set_num_threads(saved);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  write_kernels_json();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -6,124 +6,17 @@
 // faster than DECO but clearly less accurate; DECO's accuracy matches or
 // beats DC/DSA. Absolute seconds differ (CPU simulator vs the authors' GPU),
 // the ratios are the reproduction target.
-#include <chrono>
-#include <fstream>
-#include <functional>
 #include <iostream>
-#include <map>
-#include <thread>
 
 #include "bench_util.h"
-#include "deco/condense/matcher.h"
 #include "deco/core/telemetry.h"
-#include "deco/core/thread_pool.h"
 #include "deco/eval/metrics.h"
-#include "deco/nn/convnet.h"
-#include "deco/nn/loss.h"
-#include "deco/tensor/ops.h"
 
 using namespace deco;
-
-namespace {
-
-double time_op_ms(const std::function<void()>& op, int iters) {
-  op();  // warm-up (also first-touch allocates scratch buffers)
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) op();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count() / iters;
-}
-
-// Times the hot kernels at 1/2/4/8 threads and writes BENCH_threads.json.
-// The deterministic-chunking contract means every row computes the identical
-// numbers; only the wall clock moves. Speedups are relative to threads=1 and
-// only meaningful up to std::thread::hardware_concurrency(), which is
-// recorded alongside the timings.
-void thread_sweep() {
-  const int saved = core::num_threads();
-  const std::vector<int> counts{1, 2, 4, 8};
-
-  Rng rng(7);
-  const int64_t n = 192;
-  Tensor a({n, n}), b({n, n});
-  rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  Tensor mm_out;
-
-  nn::ConvNetConfig mc;
-  mc.in_channels = 3;
-  mc.image_h = mc.image_w = 16;
-  mc.num_classes = 10;
-  mc.width = 32;
-  mc.depth = 3;
-  nn::ConvNet net(mc, rng);
-  Tensor x({32, 3, 16, 16});
-  rng.fill_uniform(x, 0, 1);
-  std::vector<int64_t> labels(32);
-  for (int64_t i = 0; i < 32; ++i) labels[static_cast<size_t>(i)] = i % 10;
-
-  Tensor x_syn({10, 3, 16, 16});
-  rng.fill_uniform(x_syn, 0, 1);
-  std::vector<int64_t> y_syn(10, 0);
-  condense::GradientMatcher matcher(net);
-
-  const std::map<std::string, std::function<void()>> kernels{
-      {"matmul_192", [&] { matmul_into(a, b, mm_out); }},
-      {"convnet_fwd_bwd_b32",
-       [&] {
-         net.zero_grad();
-         auto ce = nn::weighted_cross_entropy(net.forward(x), labels);
-         Tensor gx = net.backward(ce.grad_logits);
-       }},
-      {"one_step_match_ipc10",
-       [&] { auto res = matcher.match(x_syn, y_syn, x, labels, {}); }},
-  };
-
-  std::map<std::string, std::map<int, double>> ms;
-  for (int t : counts) {
-    core::set_num_threads(t);
-    for (const auto& [name, op] : kernels)
-      ms[name][t] = time_op_ms(op, name == "matmul_192" ? 50 : 10);
-  }
-  core::set_num_threads(saved);
-
-  std::ofstream js("BENCH_threads.json");
-  js << "{\n  \"hardware_concurrency\": "
-     << std::thread::hardware_concurrency() << ",\n  \"kernels\": {\n";
-  bool first_k = true;
-  for (const auto& [name, by_t] : ms) {
-    if (!first_k) js << ",\n";
-    first_k = false;
-    js << "    \"" << name << "\": {\"ms_per_iter\": {";
-    bool first_t = true;
-    for (const auto& [t, v] : by_t) {
-      if (!first_t) js << ", ";
-      first_t = false;
-      js << "\"" << t << "\": " << v;
-    }
-    js << "}, \"speedup_4\": " << by_t.at(1) / by_t.at(4) << "}";
-  }
-  js << "\n  }\n}\n";
-
-  std::cout << "## Thread sweep (BENCH_threads.json)\n"
-            << "hardware_concurrency="
-            << std::thread::hardware_concurrency() << "\n";
-  for (const auto& [name, by_t] : ms) {
-    std::cout << name << ":";
-    for (const auto& [t, v] : by_t)
-      std::cout << "  t" << t << "=" << eval::fmt(v, 3) << "ms";
-    std::cout << "  (x" << eval::fmt(by_t.at(1) / by_t.at(4), 2)
-              << " at 4 threads)\n";
-  }
-  std::cout << "\n";
-}
-
-}  // namespace
 
 int main() {
   bench::print_scale_banner("Table II — condensation execution time");
   const bench::BenchScale s = bench::scale();
-  thread_sweep();
 
   eval::RunConfig base = bench::base_config(data::core50_spec(), s);
   const std::vector<std::string> methods{"dc", "dsa", "dm", "deco"};

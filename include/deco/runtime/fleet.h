@@ -2,7 +2,7 @@
 //
 // SessionManager is deliberately agnostic about where learners and segments
 // come from. Fleet supplies the standard wiring used by `deco_cli serve`,
-// bench_runtime and examples/fleet_serve: N DecoLearner sessions over one
+// `deco_cli bench` and examples/fleet_serve: N DecoLearner sessions over one
 // procedural world, each with its own model, rng lineage and
 // temporally-correlated stream, replayed through the manager's queues.
 //

@@ -26,12 +26,11 @@
 namespace deco::scenario {
 
 /// Protocol knobs shared by every cell, so cells differ only by scenario and
-/// method. Defaults are sized for minutes-scale matrices on one CPU core;
-/// bench_scenarios scales them up under DECO_BENCH_SCALE=full.
+/// method. Defaults are sized for minutes-scale matrices on one CPU core.
 struct HarnessOptions {
   /// Stream length override in segments (0 = the scenario's own
   /// stream.total_segments). This is the one protocol knob that rescales a
-  /// whole matrix (bench_scenarios wires DECO_SEGMENTS into it).
+  /// whole matrix (`deco_cli bench --matrix --segments N` sets it).
   int64_t segments = 0;
   int64_t ipc = 4;                 ///< buffer images per class
   int64_t model_width = 16;
@@ -110,5 +109,13 @@ MatrixReport run_matrix(const std::vector<ScenarioSpec>& scenarios,
 /// ignore it).
 std::string matrix_json(const MatrixReport& report);
 void write_matrix_json(const MatrixReport& report, const std::string& path);
+
+/// The matrix's pass/fail gates, one message per failed gate, each naming
+/// its "scenario/method" cell (empty = pass). Every cell must report finite
+/// accuracy and forgetting and account for every segment (processed + shed
+/// == submitted). For every method that ran both mem_pressure cells, the
+/// int8 cell must compress its cache >= 3.5x, admit at least as many
+/// sessions as fp32, and stay within 20 accuracy points of it.
+std::vector<std::string> matrix_failures(const MatrixReport& report);
 
 }  // namespace deco::scenario

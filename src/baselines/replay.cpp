@@ -68,6 +68,26 @@ std::vector<size_t> greedy_k_center(const std::vector<const Tensor*>& feats,
   return selected;
 }
 
+// Fills the strategy sketches of `s` from row `row` of a batch's embeddings
+// and softmax outputs: the K-Center feature f (the encoder embedding) and
+// the GSS last-layer gradient sketch (p − y) ⊗ f, flattened class-major,
+// with y the one-hot of s.label. Warm-start and streamed samples both go
+// through here, so their sketches are the same quantity and compare.
+void attach_sketches(StoredSample& s, const Tensor& emb, const Tensor& probs,
+                     int64_t row) {
+  const int64_t d = emb.dim(1);
+  s.feature = Tensor({d});
+  std::copy(emb.data() + row * d, emb.data() + (row + 1) * d,
+            s.feature.data());
+  const int64_t c_count = probs.dim(1);
+  Tensor sketch({c_count * d});
+  for (int64_t c = 0; c < c_count; ++c) {
+    const float g = probs.at2(row, c) - (c == s.label ? 1.0f : 0.0f);
+    for (int64_t j = 0; j < d; ++j) sketch[c * d + j] = g * s.feature[j];
+  }
+  s.gradient = std::move(sketch);
+}
+
 }  // namespace
 
 std::string strategy_name(Strategy s) {
@@ -267,19 +287,8 @@ void BaselineLearner::init_buffer_from(const data::Dataset& labeled) {
         Tensor batch = s.image.reshaped({1, labeled.channels(),
                                          labeled.height(), labeled.width()});
         Tensor logits = model_.forward(batch);
-        // Feature and gradient sketches are described in observe_segment.
         Tensor emb = model_.embed(batch);
-        s.feature = emb.reshaped({emb.numel()});
-        Tensor probs = softmax_rows(logits);
-        Tensor g({probs.numel()});
-        for (int64_t c = 0; c < probs.dim(1); ++c)
-          g[c] = probs.at2(0, c) - (c == cls ? 1.0f : 0.0f);
-        // Last-layer gradient sketch: (p − y) ⊗ features, flattened.
-        Tensor sketch({g.numel() * s.feature.numel()});
-        for (int64_t c = 0; c < g.numel(); ++c)
-          for (int64_t j = 0; j < s.feature.numel(); ++j)
-            sketch[c * s.feature.numel() + j] = g[c] * s.feature[j];
-        s.gradient = std::move(sketch);
+        attach_sketches(s, emb, softmax_rows(logits), 0);
       }
       buffer_.offer(std::move(s), rng_);
     }
@@ -316,18 +325,7 @@ core::SegmentReport BaselineLearner::observe_segment(const Tensor& images) {
     s.label = pl.labels[static_cast<size_t>(i)];
     s.confidence = pl.confidences[static_cast<size_t>(i)];
     s.arrival = arrivals_++;
-    if (needs_feats) {
-      const int64_t d = emb.dim(1);
-      s.feature = Tensor({d});
-      std::copy(emb.data() + i * d, emb.data() + (i + 1) * d, s.feature.data());
-      const int64_t c_count = probs.dim(1);
-      Tensor sketch({c_count * d});
-      for (int64_t c = 0; c < c_count; ++c) {
-        const float g = probs.at2(i, c) - (c == s.label ? 1.0f : 0.0f);
-        for (int64_t j = 0; j < d; ++j) sketch[c * d + j] = g * s.feature[j];
-      }
-      s.gradient = std::move(sketch);
-    }
+    if (needs_feats) attach_sketches(s, emb, probs, i);
     buffer_.offer(std::move(s), rng_);
   }
   select_seconds_ += now_seconds() - t0;

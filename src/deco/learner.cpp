@@ -433,13 +433,16 @@ void DecoLearner::load_state(const std::string& path) {
   condenser_->load_state(is);  // integrity already established by the CRC
 }
 
-void train_classifier(nn::ConvNet& model, const Tensor& images,
-                      const std::vector<int64_t>& labels, int64_t epochs,
-                      float lr, float weight_decay, int64_t batch_size,
-                      Rng& rng, NumericGuard* guard) {
+namespace {
+
+// The SGD-with-momentum loop shared by both train_classifier variants; they
+// differ only in `batch_loss(idx, logits)`, which gathers the batch's targets
+// and returns the loss result (loss + grad_logits).
+template <typename BatchLoss>
+void train_loop(nn::ConvNet& model, const Tensor& images, int64_t epochs,
+                float lr, float weight_decay, int64_t batch_size, Rng& rng,
+                NumericGuard* guard, BatchLoss&& batch_loss) {
   const int64_t n = images.dim(0);
-  DECO_CHECK(n == static_cast<int64_t>(labels.size()),
-             "train_classifier: label count mismatch");
   if (n == 0) return;
   const bool guarded = guard != nullptr && guard->enabled();
   nn::SgdMomentum opt(model, lr, 0.9f, weight_decay);
@@ -453,13 +456,9 @@ void train_classifier(nn::ConvNet& model, const Tensor& images,
       const int64_t end = std::min(n, start + batch_size);
       std::vector<int64_t> idx(order.begin() + start, order.begin() + end);
       Tensor xb = take(images, idx);
-      std::vector<int64_t> yb;
-      yb.reserve(idx.size());
-      for (int64_t i : idx) yb.push_back(labels[static_cast<size_t>(i)]);
-
       model.zero_grad();
       Tensor logits = model.forward(xb);
-      auto ce = nn::weighted_cross_entropy(logits, yb);
+      auto ce = batch_loss(idx, logits);
       if (guarded && !guard->admit_loss(ce.loss)) {
         model.zero_grad();
         continue;
@@ -475,43 +474,34 @@ void train_classifier(nn::ConvNet& model, const Tensor& images,
   }
 }
 
+}  // namespace
+
+void train_classifier(nn::ConvNet& model, const Tensor& images,
+                      const std::vector<int64_t>& labels, int64_t epochs,
+                      float lr, float weight_decay, int64_t batch_size,
+                      Rng& rng, NumericGuard* guard) {
+  DECO_CHECK(images.dim(0) == static_cast<int64_t>(labels.size()),
+             "train_classifier: label count mismatch");
+  train_loop(model, images, epochs, lr, weight_decay, batch_size, rng, guard,
+             [&](const std::vector<int64_t>& idx, const Tensor& logits) {
+               std::vector<int64_t> yb;
+               yb.reserve(idx.size());
+               for (int64_t i : idx)
+                 yb.push_back(labels[static_cast<size_t>(i)]);
+               return nn::weighted_cross_entropy(logits, yb);
+             });
+}
+
 void train_classifier_soft(nn::ConvNet& model, const Tensor& images,
                            const Tensor& targets, int64_t epochs, float lr,
                            float weight_decay, int64_t batch_size, Rng& rng,
                            NumericGuard* guard) {
-  const int64_t n = images.dim(0);
-  DECO_CHECK(targets.ndim() == 2 && targets.dim(0) == n,
+  DECO_CHECK(targets.ndim() == 2 && targets.dim(0) == images.dim(0),
              "train_classifier_soft: target count mismatch");
-  if (n == 0) return;
-  const bool guarded = guard != nullptr && guard->enabled();
-  nn::SgdMomentum opt(model, lr, 0.9f, weight_decay);
-
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-
-  for (int64_t e = 0; e < epochs; ++e) {
-    rng.shuffle(order);
-    for (int64_t start = 0; start < n; start += batch_size) {
-      const int64_t end = std::min(n, start + batch_size);
-      std::vector<int64_t> idx(order.begin() + start, order.begin() + end);
-      Tensor xb = take(images, idx);
-      Tensor qb = take(targets, idx);
-      model.zero_grad();
-      Tensor logits = model.forward(xb);
-      auto ce = nn::soft_cross_entropy(logits, qb);
-      if (guarded && !guard->admit_loss(ce.loss)) {
-        model.zero_grad();
-        continue;
-      }
-      model.backward(ce.grad_logits, nn::GradNeed::kParams);
-      if (guarded && !guard->admit_gradients(model.parameters())) {
-        model.zero_grad();
-        continue;
-      }
-      opt.step();
-      model.zero_grad();
-    }
-  }
+  train_loop(model, images, epochs, lr, weight_decay, batch_size, rng, guard,
+             [&](const std::vector<int64_t>& idx, const Tensor& logits) {
+               return nn::soft_cross_entropy(logits, take(targets, idx));
+             });
 }
 
 }  // namespace deco::core

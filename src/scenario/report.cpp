@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -48,6 +49,10 @@ std::string cell_fields(const CellResult& c, bool with_wall) {
   return out;
 }
 
+std::string cell_name(const CellResult& c) {
+  return c.scenario + "/" + c.method;
+}
+
 }  // namespace
 
 std::string CellResult::deterministic_json() const {
@@ -75,6 +80,59 @@ void write_matrix_json(const MatrixReport& report, const std::string& path) {
   DECO_CHECK(os.is_open(), "scenario: cannot open " + path + " for writing");
   os << matrix_json(report);
   DECO_CHECK(os.good(), "scenario: short write to " + path);
+}
+
+std::vector<std::string> matrix_failures(const MatrixReport& report) {
+  std::vector<std::string> out;
+  char buf[256];
+  for (const CellResult& c : report.cells) {
+    if (!std::isfinite(c.accuracy) || !std::isfinite(c.forgetting))
+      out.push_back(cell_name(c) + ": non-finite accuracy or forgetting");
+    if (c.segments_processed + c.segments_shed != c.segments_submitted) {
+      std::snprintf(buf, sizeof(buf),
+                    ": lost %lld segments (submitted %lld, processed %lld, "
+                    "shed %lld)",
+                    static_cast<long long>(c.segments_submitted -
+                                           c.segments_processed -
+                                           c.segments_shed),
+                    static_cast<long long>(c.segments_submitted),
+                    static_cast<long long>(c.segments_processed),
+                    static_cast<long long>(c.segments_shed));
+      out.push_back(cell_name(c) + buf);
+    }
+  }
+  for (const CellResult& f32 : report.cells) {
+    if (f32.scenario != "mem_pressure_fp32") continue;
+    for (const CellResult& q8 : report.cells) {
+      if (q8.scenario != "mem_pressure_int8" || q8.method != f32.method)
+        continue;
+      const double ratio =
+          q8.cache_stored_bytes > 0
+              ? static_cast<double>(q8.cache_logical_bytes) /
+                    static_cast<double>(q8.cache_stored_bytes)
+              : 0.0;
+      if (ratio < 3.5) {
+        std::snprintf(buf, sizeof(buf), ": cache compression %.3fx < 3.5x",
+                      ratio);
+        out.push_back(cell_name(q8) + buf);
+      }
+      if (q8.sessions_admitted < f32.sessions_admitted) {
+        std::snprintf(buf, sizeof(buf),
+                      ": admitted %lld sessions < fp32's %lld",
+                      static_cast<long long>(q8.sessions_admitted),
+                      static_cast<long long>(f32.sessions_admitted));
+        out.push_back(cell_name(q8) + buf);
+      }
+      const float delta = std::abs(q8.accuracy - f32.accuracy);
+      if (delta > 20.0f) {
+        std::snprintf(buf, sizeof(buf),
+                      ": accuracy %.2f is %.2f points from fp32's %.2f (> 20)",
+                      q8.accuracy, delta, f32.accuracy);
+        out.push_back(cell_name(q8) + buf);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace deco::scenario

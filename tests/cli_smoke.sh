@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke test of `deco_cli run`: --save-model must not change the experiment
 # (same final line with and without it), and an unknown --method or the
-# removed --pooling flag must fail.
+# removed --pooling flag must fail. Both `deco_cli bench` paths (the matrix
+# with its gates, and the fleet sweep) must exit 0 and write their JSON.
 #
 # Usage: sh tests/cli_smoke.sh <deco_cli binary> <scratch dir>
 set -eu
@@ -34,4 +35,14 @@ if "$cli" $args --pooling max >/dev/null 2>&1; then
   echo "FAIL: --pooling max was accepted"
   exit 1
 fi
+rm -f "$dir/m.json" "$dir/s.json"
+"$cli" bench --matrix --scenarios mem_pressure_fp32,mem_pressure_int8 \
+  --methods deco --segments 2 --out "$dir/m.json" >/dev/null
+"$cli" bench --sessions 1,2 --segments 2 --json "$dir/s.json" >/dev/null
+for f in m.json s.json; do
+  if [ ! -s "$dir/$f" ]; then
+    echo "FAIL: deco_cli bench wrote no $f"
+    exit 1
+  fi
+done
 echo "ok: $plain"

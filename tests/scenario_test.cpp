@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -454,6 +455,87 @@ TEST(ScenarioHarness, Int8CacheAccuracyWithinGateOfFp32) {
   EXPECT_EQ(q8.cache_logical_bytes, f32.cache_logical_bytes);
   EXPECT_NEAR(q8.accuracy, f32.accuracy, 25.0f)
       << "int8 cache accuracy fell out of the smoke gate";
+}
+
+// ---- matrix gates -----------------------------------------------------------
+
+// A synthetic cell that passes every gate; the tests break one field at a time.
+scenario::CellResult gate_cell(const std::string& scenario,
+                               const std::string& method) {
+  scenario::CellResult c;
+  c.scenario = scenario;
+  c.method = method;
+  c.sessions = 6;
+  c.sessions_admitted = 2;
+  c.cache_stored_bytes = 1000;
+  c.cache_logical_bytes = 1000;
+  c.segments_submitted = 12;
+  c.segments_processed = 10;
+  c.segments_shed = 2;
+  c.accuracy = 40.0f;
+  c.forgetting = 3.0f;
+  return c;
+}
+
+// The mem_pressure pair shaped like the CI matrix's deco cells: the int8
+// cache compresses 3.556x and admits 6 sessions to fp32's 2.
+scenario::MatrixReport passing_pair() {
+  scenario::MatrixReport r;
+  r.cells.push_back(gate_cell("mem_pressure_fp32", "deco"));
+  scenario::CellResult q8 = gate_cell("mem_pressure_int8", "deco");
+  q8.cache_dtype = "int8";
+  q8.sessions_admitted = 6;
+  q8.cache_stored_bytes = 900;
+  q8.cache_logical_bytes = 3200;
+  q8.accuracy = 35.0f;
+  r.cells.push_back(q8);
+  return r;
+}
+
+void expect_one_failure_in(const scenario::MatrixReport& r,
+                           const std::string& cell) {
+  const std::vector<std::string> failures = scenario::matrix_failures(r);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].rfind(cell + ": ", 0), 0u) << failures[0];
+}
+
+TEST(MatrixGates, PassingPairHasNoFailures) {
+  EXPECT_TRUE(scenario::matrix_failures(passing_pair()).empty());
+}
+
+TEST(MatrixGates, PairGatesNeedBothCellsOfOneMethod) {
+  EXPECT_TRUE(scenario::matrix_failures(scenario::MatrixReport{}).empty());
+  // An uncompressed int8 cell would fail the pair gates, but its fp32 twin
+  // ran under another method, so there is no pair to judge.
+  scenario::MatrixReport r;
+  r.cells.push_back(gate_cell("clean", "deco"));
+  r.cells.push_back(gate_cell("mem_pressure_fp32", "random"));
+  r.cells.push_back(gate_cell("mem_pressure_int8", "fifo"));
+  EXPECT_TRUE(scenario::matrix_failures(r).empty());
+}
+
+TEST(MatrixGates, EachGateFailsAloneAndNamesItsCell) {
+  scenario::MatrixReport ratio = passing_pair();
+  ratio.cells[1].cache_logical_bytes = 3060;  // 3.4x
+  expect_one_failure_in(ratio, "mem_pressure_int8/deco");
+
+  scenario::MatrixReport admitted = passing_pair();
+  admitted.cells[1].sessions_admitted = 1;
+  expect_one_failure_in(admitted, "mem_pressure_int8/deco");
+
+  scenario::MatrixReport accuracy = passing_pair();
+  accuracy.cells[1].accuracy = accuracy.cells[0].accuracy + 21.0f;
+  expect_one_failure_in(accuracy, "mem_pressure_int8/deco");
+
+  scenario::MatrixReport lost = passing_pair();
+  lost.cells[0].segments_processed -= 1;
+  expect_one_failure_in(lost, "mem_pressure_fp32/deco");
+
+  // A NaN accuracy trips the finiteness gate only: the accuracy-delta
+  // comparison is false for NaN, so the cell is not reported twice.
+  scenario::MatrixReport nan = passing_pair();
+  nan.cells[1].accuracy = std::numeric_limits<float>::quiet_NaN();
+  expect_one_failure_in(nan, "mem_pressure_int8/deco");
 }
 
 // ---- BENCH_scenarios.json schema (golden fixture round-trip) ----------------

@@ -4,7 +4,9 @@
 //   deco_cli serve   [flags]    multi-session runtime over one SessionManager
 //   deco_cli inspect FILE...    print checkpoint/state headers, no tensor loads
 //   deco_cli bench   [flags]    fleet throughput sweep, or (--matrix) the
-//                               scenario × method evaluation matrix
+//                               scenario × method evaluation matrix; exits 1
+//                               when a segment goes missing or a matrix gate
+//                               (scenario::matrix_failures) fails
 //
 // Every subcommand accepts `--config FILE` (key=value lines, or *.json) and
 // repeated `--set key=value` overrides, routed through runtime::ConfigMap —
@@ -503,7 +505,8 @@ int cmd_inspect(int argc, char** argv, int first) {
 
 void print_bench_help() {
   std::printf(
-      "deco_cli bench — fleet throughput sweep, or the evaluation matrix\n\n"
+      "deco_cli bench — fleet throughput sweep, or the evaluation matrix\n"
+      "Exits 1 when a session loses segments or a matrix gate fails.\n\n"
       "throughput sweep (default):\n"
       "  --sessions LIST  comma-separated counts (default 1,2,4)\n"
       "  --segments N     stream length per session          (default 6)\n"
@@ -581,7 +584,10 @@ int cmd_bench_matrix(int argc, char** argv, int first) {
   scenario::write_matrix_json(report, out_path);
   std::printf("wrote %s (%zu cells)\n", out_path.c_str(),
               report.cells.size());
-  return 0;
+  const std::vector<std::string> failures = scenario::matrix_failures(report);
+  for (const std::string& f : failures) std::printf("FAIL: %s\n", f.c_str());
+  std::printf("matrix gates: %s\n", failures.empty() ? "PASS" : "FAIL");
+  return failures.empty() ? 0 : 1;
 }
 
 int cmd_bench(int argc, char** argv, int first) {
@@ -602,14 +608,8 @@ int cmd_bench(int argc, char** argv, int first) {
       return 0;
     } else if (a == "--sessions") {
       sessions.clear();
-      std::string list = next();
-      size_t pos = 0;
-      while (pos < list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        sessions.push_back(std::atoll(list.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-      }
+      for (const std::string& n : split_names(next()))
+        sessions.push_back(std::atoll(n.c_str()));
       DECO_CHECK(!sessions.empty(), "--sessions needs at least one count");
     }
     else if (a == "--segments") segments = std::atoll(next());
@@ -621,6 +621,7 @@ int cmd_bench(int argc, char** argv, int first) {
                     "unknown flag '" + a + "' (see deco_cli bench --help)");
   }
 
+  int failures = 0;
   std::string json = "{\n  \"sweep\": [\n";
   std::printf("%9s %10s %12s %14s\n", "sessions", "segments", "seconds",
               "segments/s");
@@ -647,6 +648,20 @@ int cmd_bench(int argc, char** argv, int first) {
                 static_cast<long long>(sessions[i]),
                 static_cast<long long>(res.segments_processed), res.seconds,
                 res.segments_per_second);
+    // Every submitted segment is either processed or shed; anything else is
+    // a session that lost work.
+    const int64_t expected = sessions[i] * fc.stream.total_segments;
+    int64_t accounted = 0;
+    for (const runtime::SessionStatus& st : res.sessions)
+      accounted += st.segments_processed + st.queue.shed;
+    if (accounted != expected) {
+      std::printf("FAIL: %lld sessions accounted for %lld segments, "
+                  "expected %lld\n",
+                  static_cast<long long>(sessions[i]),
+                  static_cast<long long>(accounted),
+                  static_cast<long long>(expected));
+      ++failures;
+    }
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    {\"sessions\": %lld, \"segments\": %lld, "
@@ -664,7 +679,7 @@ int cmd_bench(int argc, char** argv, int first) {
     os << json;
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }
 
 // ---- dispatch ---------------------------------------------------------------
