@@ -14,8 +14,9 @@
 
 namespace deco::nn {
 
-/// 2-D convolution via im2col + GEMM. Weight layout: [out_ch, in_ch*kh*kw],
-/// bias: [out_ch].
+/// 2-D convolution via pad + packed implicit im2col: the input is copied
+/// once into a zero-bordered buffer and the forward GEMM packs its panels
+/// straight from it. Weight layout: [out_ch, in_ch*kh*kw], bias: [out_ch].
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel, int64_t stride,
@@ -43,7 +44,8 @@ class Conv2d : public Module {
   Tensor bias_grad_;
 
   Conv2dGeometry geom_;  // of the last forward
-  Tensor cols_;          // im2col of last input
+  Tensor padded_;        // last input with its zero border
+  Tensor cols_;          // im2col of last input, built on the dW path only
   Tensor out_mat_;       // GEMM output scratch
   Tensor grad_out_mat_;  // backward scratch
   Tensor grad_cols_;     // backward scratch

@@ -66,6 +66,20 @@ void im2col_into(const Tensor& input, const Conv2dGeometry& g, Tensor& cols);
 /// im2col). `grad_input` must already have shape [N,C,H,W]; it is zeroed.
 void col2im_into(const Tensor& cols, const Conv2dGeometry& g, Tensor& grad_input);
 
+/// Copies NCHW `input` into `padded` [N, C, H+2p, W+2p] (p = g.padding)
+/// with a zero border. Every tap of the convolution then lands inside
+/// `padded`, so the two readers below never bounds-check.
+void pad_into(const Tensor& input, const Conv2dGeometry& g, Tensor& padded);
+/// im2col of a pad_into() result: the same columns as im2col_into(input).
+void im2col_padded_into(const Tensor& padded, const Conv2dGeometry& g,
+                        Tensor& cols);
+/// out [out_ch, N*OH*OW] = weight [out_ch, C*kh*kw] x im2col(input), where
+/// `padded` is pad_into(input). The GEMM packs its B panels straight from
+/// `padded` (detail::gemm_conv), so no column matrix is built; the result is
+/// bitwise equal to matmul_into(weight, im2col_into(input)).
+void conv_matmul_into(const Tensor& weight, const Tensor& padded,
+                      const Conv2dGeometry& g, Tensor& out);
+
 // ---- row-wise softmax family --------------------------------------------------
 
 /// Numerically stable softmax along the last dimension of a 2-D tensor.

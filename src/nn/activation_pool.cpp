@@ -1,4 +1,5 @@
 #include <limits>
+#include <vector>
 
 #include "deco/core/thread_pool.h"
 #include "deco/nn/layers.h"
@@ -34,6 +35,10 @@ Tensor ReLU::backward(const Tensor& grad_output, GradNeed /*need*/) {
 
 // ---- AvgPool2d ---------------------------------------------------------------
 
+// Planes per parallel chunk: one 8×8 plane is far too little work to be
+// worth a dispatch of its own.
+constexpr int64_t kPoolGrain = 8;
+
 Tensor AvgPool2d::forward(const Tensor& input) {
   DECO_CHECK(input.ndim() == 4, "AvgPool2d: input must be NCHW");
   const int64_t N = input.dim(0), C = input.dim(1), H = input.dim(2),
@@ -48,10 +53,25 @@ Tensor AvgPool2d::forward(const Tensor& input) {
   const float* pi = input.data();
   float* po = out.data();
   // Each (n, c) plane is pooled independently: disjoint reads and writes.
-  core::parallel_for(0, N * C, 1, [&](int64_t nc0, int64_t nc1) {
+  // The 2×2 case (the ConvNet's) is spelled out straight-line; it adds in the
+  // general loop's order, 0.0 + the four taps row by row, in double.
+  core::parallel_for(0, N * C, kPoolGrain, [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       const float* img = pi + nc * H * W;
       float* dst = po + nc * oh * ow;
+      if (kernel_ == 2) {
+        for (int64_t oy = 0; oy < oh; ++oy) {
+          const float* r0 = img + 2 * oy * W;
+          const float* r1 = r0 + W;
+          float* d = dst + oy * ow;
+          for (int64_t ox = 0; ox < ow; ++ox) {
+            const double acc = 0.0 + r0[2 * ox] + r0[2 * ox + 1] +
+                               r1[2 * ox] + r1[2 * ox + 1];
+            d[ox] = static_cast<float>(acc) * inv;
+          }
+        }
+        continue;
+      }
       for (int64_t oy = 0; oy < oh; ++oy) {
         for (int64_t ox = 0; ox < ow; ++ox) {
           double acc = 0.0;
@@ -72,18 +92,33 @@ Tensor AvgPool2d::backward(const Tensor& grad_output, GradNeed /*need*/) {
   const int64_t N = in_shape_[0], C = in_shape_[1], H = in_shape_[2],
                 W = in_shape_[3];
   const int64_t oh = H / kernel_, ow = W / kernel_;
-  DECO_CHECK(grad_output.ndim() == 4 && grad_output.dim(2) == oh &&
-                 grad_output.dim(3) == ow,
-             "AvgPool2d::backward: grad shape mismatch");
+  DECO_CHECK(grad_output.shape() == std::vector<int64_t>({N, C, oh, ow}),
+             "AvgPool2d::backward: grad " + grad_output.shape_str() +
+                 " does not match forward output");
   Tensor grad_input(in_shape_);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   const float* pg = grad_output.data();
   float* pi = grad_input.data();
   // Pooling windows never straddle planes, so per-plane scatter is disjoint.
-  core::parallel_for(0, N * C, 1, [&](int64_t nc0, int64_t nc1) {
+  core::parallel_for(0, N * C, kPoolGrain, [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       float* img = pi + nc * H * W;
       const float* src = pg + nc * oh * ow;
+      if (kernel_ == 2) {
+        for (int64_t oy = 0; oy < oh; ++oy) {
+          float* r0 = img + 2 * oy * W;
+          float* r1 = r0 + W;
+          const float* s = src + oy * ow;
+          for (int64_t ox = 0; ox < ow; ++ox) {
+            const float g = s[ox] * inv;
+            r0[2 * ox] += g;
+            r0[2 * ox + 1] += g;
+            r1[2 * ox] += g;
+            r1[2 * ox + 1] += g;
+          }
+        }
+        continue;
+      }
       for (int64_t oy = 0; oy < oh; ++oy) {
         for (int64_t ox = 0; ox < ow; ++ox) {
           const float g = src[oy * ow + ox] * inv;

@@ -35,10 +35,11 @@ Tensor Conv2d::forward(const Tensor& input) {
                          kernel_,      kernel_,      stride_,
                          padding_};
   last_batch_ = input.dim(0);
-  im2col_into(input, geom_, cols_);
+  pad_into(input, geom_, padded_);
 
-  // out_mat = W [out_ch, rows] x cols [rows, N*oh*ow]
-  matmul_into(weight_, cols_, out_mat_);
+  // out_mat = W [out_ch, rows] x im2col(input) [rows, N*oh*ow], with the
+  // GEMM packing its panels straight from padded_: no column matrix.
+  conv_matmul_into(weight_, padded_, geom_, out_mat_);
 
   const int64_t oh = geom_.out_h(), ow = geom_.out_w();
   const int64_t per_sample = oh * ow;
@@ -103,7 +104,9 @@ Tensor Conv2d::backward(const Tensor& grad_output, GradNeed need) {
 
   if (want_params) {
     // dW += grad_mat [out_ch, cols] x cols^T [cols, rows], folded straight
-    // into the accumulator — no dw temporary.
+    // into the accumulator — no dw temporary. Only this GEMM needs the
+    // column matrix, so it is built here, from the forward's padded_.
+    im2col_padded_into(padded_, geom_, cols_);
     matmul_nt_acc_into(grad_out_mat_, cols_, weight_grad_);
   }
   if (need == GradNeed::kParams) return Tensor();

@@ -7,6 +7,123 @@
 
 namespace deco::nn {
 
+namespace {
+
+constexpr int64_t kPlaneBlock = 8;
+
+// InstanceNorm2d's forward over B consecutive (n, c) planes. Each plane keeps
+// its own double mean/var sums in ascending element order; running B planes
+// side by side only overlaps B independent add chains, so every plane's
+// result is exactly what a one-plane loop computes.
+struct NormPlanes {
+  const float* in;
+  float* xhat;
+  float* inv_std;
+  float* out;
+  const float* gamma;
+  const float* beta;
+  int64_t M;
+  int64_t channels;
+  float eps;
+
+  template <int64_t B>
+  void run(int64_t nc0) const {
+    const float* src = in + nc0 * M;
+    double mean[B] = {};
+    for (int64_t i = 0; i < M; ++i) {
+      for (int64_t b = 0; b < B; ++b) mean[b] += src[b * M + i];
+    }
+    for (int64_t b = 0; b < B; ++b) mean[b] /= static_cast<double>(M);
+    double var[B] = {};
+    for (int64_t i = 0; i < M; ++i) {
+      for (int64_t b = 0; b < B; ++b) {
+        const double d = src[b * M + i] - mean[b];
+        var[b] += d * d;
+      }
+    }
+    for (int64_t b = 0; b < B; ++b) {
+      const int64_t nc = nc0 + b;
+      const double v = var[b] / static_cast<double>(M);
+      const float inv = static_cast<float>(1.0 / std::sqrt(v + eps));
+      inv_std[nc] = inv;
+      const float* x = src + b * M;
+      float* xh = xhat + nc * M;
+      float* dst = out + nc * M;
+      const int64_t c = nc % channels;
+      const float g = gamma[c], bt = beta[c], mu = static_cast<float>(mean[b]);
+      for (int64_t i = 0; i < M; ++i) {
+        xh[i] = (x[i] - mu) * inv;
+        dst[i] = g * xh[i] + bt;
+      }
+    }
+  }
+};
+
+// Phase 1 of InstanceNorm2d's backward over B consecutive planes: each
+// plane's ascending double sums of dy and dy·x̂ (B planes side by side, as
+// in NormPlanes), stored for the serial γ/β fold, then dx when asked for.
+struct NormGradPlanes {
+  const float* dy;
+  const float* xhat;
+  const float* inv_std;
+  const float* gamma;
+  float* dx;
+  double* sum_dy;     // [planes], or null when no parameter grads are wanted
+  double* sum_dy_xh;  // likewise
+  int64_t M;
+  int64_t channels;
+  bool want_input;
+
+  template <int64_t B>
+  void run(int64_t nc0) const {
+    const float* d = dy + nc0 * M;
+    const float* x = xhat + nc0 * M;
+    double s_dy[B] = {}, s_dy_xh[B] = {};
+    for (int64_t i = 0; i < M; ++i) {
+      for (int64_t b = 0; b < B; ++b) {
+        s_dy[b] += d[b * M + i];
+        s_dy_xh[b] += static_cast<double>(d[b * M + i]) * x[b * M + i];
+      }
+    }
+    for (int64_t b = 0; b < B; ++b) {
+      const int64_t nc = nc0 + b;
+      if (sum_dy != nullptr) {
+        sum_dy[nc] = s_dy[b];
+        sum_dy_xh[nc] = s_dy_xh[b];
+      }
+      if (!want_input) continue;
+      const float* dyp = d + b * M;
+      const float* xh = x + b * M;
+      float* dxp = dx + nc * M;
+      const float g = gamma[nc % channels];
+      const float inv = inv_std[nc];
+      const float mean_dy = static_cast<float>(s_dy[b] / M);
+      const float mean_dy_xh = static_cast<float>(s_dy_xh[b] / M);
+      // dx = γ·inv_std·(dy − mean(dy) − x̂·mean(dy·x̂))
+      for (int64_t i = 0; i < M; ++i) {
+        dxp[i] = g * inv * (dyp[i] - mean_dy - xh[i] * mean_dy_xh);
+      }
+    }
+  }
+};
+
+// Runs body.run<kPlaneBlock> over every whole block of a parallel chunk and
+// body.run<1> over the rest. Chunks are whole blocks except the last, so
+// only the last few planes run one at a time. Planes write disjoint outputs,
+// so the split is bitwise deterministic.
+template <typename Planes>
+void for_each_plane_block(int64_t planes, const Planes& body) {
+  core::parallel_for(0, planes, kPlaneBlock, [&](int64_t nc0, int64_t nc1) {
+    int64_t nc = nc0;
+    for (; nc + kPlaneBlock <= nc1; nc += kPlaneBlock) {
+      body.template run<kPlaneBlock>(nc);
+    }
+    for (; nc < nc1; ++nc) body.template run<1>(nc);
+  });
+}
+
+}  // namespace
+
 InstanceNorm2d::InstanceNorm2d(int64_t channels, float eps)
     : channels_(channels),
       eps_(eps),
@@ -36,40 +153,13 @@ Tensor InstanceNorm2d::forward(const Tensor& input) {
   if (!xhat_.same_shape(input)) xhat_ = Tensor(input.shape());
   if (inv_std_.numel() != N * channels_) inv_std_ = Tensor({N * channels_});
 
-  const float* pi = input.data();
-  float* px = xhat_.data();
-  float* ps = inv_std_.data();
   Tensor out(input.shape());
-  float* po = out.data();
-  const float* pg = gamma_.data();
-  const float* pb = beta_.data();
-
+  const NormPlanes planes{input.data(), xhat_.data(), inv_std_.data(),
+                          out.data(),   gamma_.data(), beta_.data(),
+                          M,            channels_,     eps_};
   // Every (n, c) plane is normalized independently: disjoint writes, so the
   // batch-parallel split is bitwise deterministic.
-  core::parallel_for(0, N * channels_, 1, [&](int64_t nc0, int64_t nc1) {
-    for (int64_t nc = nc0; nc < nc1; ++nc) {
-      const int64_t c = nc % channels_;
-      const float* src = pi + nc * M;
-      double mean = 0.0;
-      for (int64_t i = 0; i < M; ++i) mean += src[i];
-      mean /= static_cast<double>(M);
-      double var = 0.0;
-      for (int64_t i = 0; i < M; ++i) {
-        const double d = src[i] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(M);
-      const float inv = static_cast<float>(1.0 / std::sqrt(var + eps_));
-      ps[nc] = inv;
-      float* xh = px + nc * M;
-      float* dst = po + nc * M;
-      const float g = pg[c], b = pb[c], mu = static_cast<float>(mean);
-      for (int64_t i = 0; i < M; ++i) {
-        xh[i] = (src[i] - mu) * inv;
-        dst[i] = g * xh[i] + b;
-      }
-    }
-  });
+  for_each_plane_block(N * channels_, planes);
   return out;
 }
 
@@ -99,32 +189,11 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output, GradNeed need) {
   const size_t sums = want_params ? static_cast<size_t>(planes) : 0;
   std::vector<double> plane_sum_dy(sums);
   std::vector<double> plane_sum_dy_xh(sums);
-  core::parallel_for(0, planes, 1, [&](int64_t nc0, int64_t nc1) {
-    for (int64_t nc = nc0; nc < nc1; ++nc) {
-      const float* dy = pdy + nc * M;
-      const float* xh = px + nc * M;
-      double sum_dy = 0.0, sum_dy_xh = 0.0;
-      for (int64_t i = 0; i < M; ++i) {
-        sum_dy += dy[i];
-        sum_dy_xh += static_cast<double>(dy[i]) * xh[i];
-      }
-      if (want_params) {
-        plane_sum_dy[static_cast<size_t>(nc)] = sum_dy;
-        plane_sum_dy_xh[static_cast<size_t>(nc)] = sum_dy_xh;
-      }
-      if (!want_input) continue;
-
-      float* dx = pdx + nc * M;
-      const float g = pg[nc % channels_];
-      const float inv = ps[nc];
-      const float mean_dy = static_cast<float>(sum_dy / M);
-      const float mean_dy_xh = static_cast<float>(sum_dy_xh / M);
-      // dx = γ·inv_std·(dy − mean(dy) − x̂·mean(dy·x̂))
-      for (int64_t i = 0; i < M; ++i) {
-        dx[i] = g * inv * (dy[i] - mean_dy - xh[i] * mean_dy_xh);
-      }
-    }
-  });
+  double* sum_dy = want_params ? plane_sum_dy.data() : nullptr;
+  double* sum_dy_xh = want_params ? plane_sum_dy_xh.data() : nullptr;
+  const NormGradPlanes grads{pdy, px, ps, pg, pdx, sum_dy, sum_dy_xh,
+                             M, channels_, want_input};
+  for_each_plane_block(planes, grads);
   for (size_t nc = 0; nc < sums; ++nc) {
     const int64_t c = static_cast<int64_t>(nc) % channels_;
     pbg[c] += static_cast<float>(plane_sum_dy[nc]);

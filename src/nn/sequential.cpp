@@ -17,21 +17,29 @@ Sequential& Sequential::add(std::unique_ptr<Module> layer) {
   return *this;
 }
 
+// The caller's tensor goes straight to the first layer; only layer outputs
+// are held here, so neither pass deep-copies its argument.
 Tensor Sequential::forward(const Tensor& input) {
-  Tensor x = input;
+  if (layers_.empty()) return input;
+  Tensor x;
+  const Tensor* cur = &input;
   for (size_t i = 0; i < layers_.size(); ++i) {
     core::telemetry::ScopedSpan span(*fwd_sites_[i]);
-    x = layers_[i]->forward(x);
+    x = layers_[i]->forward(*cur);
+    cur = &x;
   }
   return x;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output, GradNeed need) {
+  if (layers_.empty()) return grad_output;
   const GradNeed upper = need == GradNeed::kParams ? GradNeed::kAll : need;
-  Tensor g = grad_output;
+  Tensor g;
+  const Tensor* cur = &grad_output;
   for (size_t i = layers_.size(); i-- > 0;) {
     core::telemetry::ScopedSpan span(*bwd_sites_[i]);
-    g = layers_[i]->backward(g, i == 0 ? need : upper);
+    g = layers_[i]->backward(*cur, i == 0 ? need : upper);
+    cur = &g;
   }
   return g;
 }

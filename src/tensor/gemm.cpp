@@ -19,6 +19,12 @@
 //
 // Both pack panels come from the calling thread's Workspace arena, so a
 // steady-state training loop runs this kernel with zero heap traffic.
+//
+// gemm_conv swaps only the B packer: it gathers each NR strip of the implicit
+// im2col matrix straight out of a zero-bordered input (pack_b_conv). The
+// packed bytes equal what pack_b writes from the materialized matrix, and
+// both entry points run the one compute loop (gemm_packed), so results are
+// identical.
 
 #include "deco/tensor/gemm.h"
 
@@ -99,6 +105,69 @@ void pack_b(const float* b, int64_t b_rs, int64_t b_cs, int64_t k, int64_t n,
   });
 }
 
+// One run of a conv B strip: `len` consecutive columns of one output row
+// (n, oy), whose tap (0, 0, 0) sits at `src` in the padded input.
+struct ConvRun {
+  int64_t col;  // first strip column of the run
+  int64_t len;
+  int64_t src;
+};
+
+// Writes the k rows of one B strip from its runs.
+void pack_conv_strip(const ConvOperand& b, const ConvRun* runs,
+                     int64_t num_runs, int64_t cols, float* d) {
+  const int64_t plane = b.padded_h * b.padded_w;
+  for (int64_t ch = 0; ch < b.channels; ++ch) {
+    for (int64_t ky = 0; ky < b.kernel_h; ++ky) {
+      for (int64_t kx = 0; kx < b.kernel_w; ++kx, d += kNR) {
+        const float* tap = b.padded + ch * plane + ky * b.padded_w + kx;
+        for (int64_t r = 0; r < num_runs; ++r) {
+          const float* src = tap + runs[r].src;
+          float* out = d + runs[r].col;
+          if (b.stride == 1) {
+            for (int64_t i = 0; i < runs[r].len; ++i) out[i] = src[i];
+          } else {
+            for (int64_t i = 0; i < runs[r].len; ++i) out[i] = src[i * b.stride];
+          }
+        }
+        for (int64_t c = cols; c < kNR; ++c) d[c] = 0.0f;
+      }
+    }
+  }
+}
+
+// Packs B strips from the implicit im2col matrix of `b`. A strip's columns are
+// split into runs that stay inside one output row (n, oy); for every B row
+// (ch, ky, kx) a run is then one copy (or, at stride > 1, one fixed-stride
+// gather) out of a single padded input row. The zero border supplies every
+// tap outside the image, so nothing is bounds-checked per element.
+void pack_b_conv(const ConvOperand& b, float* pack) {
+  const int64_t n = b.cols(), k = b.rows();
+  const int64_t per_sample = b.out_h * b.out_w;
+  const int64_t strips = div_up(n, kNR);
+  core::parallel_for(0, strips, strip_grain(k * kNR),
+                     [&](int64_t s0, int64_t s1) {
+    ConvRun runs[kNR];
+    for (int64_t s = s0; s < s1; ++s) {
+      const int64_t j0 = s * kNR;
+      const int64_t cols = std::min<int64_t>(kNR, n - j0);
+      int64_t num_runs = 0;
+      for (int64_t col = 0; col < cols;) {
+        const int64_t j = j0 + col;
+        const int64_t sample = j / per_sample, pix = j % per_sample;
+        const int64_t oy = pix / b.out_w, ox = pix % b.out_w;
+        const int64_t len = std::min(cols - col, b.out_w - ox);
+        runs[num_runs++] = {col, len,
+                            (sample * b.channels * b.padded_h + oy * b.stride) *
+                                    b.padded_w +
+                                ox * b.stride};
+        col += len;
+      }
+      pack_conv_strip(b, runs, num_runs, cols, pack + s * k * kNR);
+    }
+  });
+}
+
 // acc[r][c] += sum over kc of Apack(kk, r) * Bpack(kk, c). The fixed trip
 // counts let the compiler unroll r fully and keep the whole tile in vector
 // registers; k ascends, which is the accumulation order the determinism
@@ -115,12 +184,12 @@ void micro_kernel(const float* ap, const float* bp, int64_t kc,
   }
 }
 
-}  // namespace
-
-void gemm_strided(int64_t m, int64_t n, int64_t k,
-                  const float* a, int64_t a_rs, int64_t a_cs,
-                  const float* b, int64_t b_rs, int64_t b_cs,
-                  float* c, bool accumulate) {
+// The blocked kernel behind both entry points. `pack_b_into(packB)` fills the
+// NR-strip panels of the k×n B operand; everything else is shared.
+template <typename PackB>
+void gemm_packed(int64_t m, int64_t n, int64_t k,
+                 const float* a, int64_t a_rs, int64_t a_cs,
+                 const PackB& pack_b_into, float* c, bool accumulate) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     // Empty contraction: the k-block loop below would never write C.
@@ -149,7 +218,7 @@ void gemm_strided(int64_t m, int64_t n, int64_t k,
   float* packA = scratch.alloc_floats(a_strips * kMR * k);
   float* packB = scratch.alloc_floats(b_strips * kNR * k);
   pack_a(a, a_rs, a_cs, m, k, packA);
-  pack_b(b, b_rs, b_cs, k, n, packB);
+  pack_b_into(packB);
 
   const int64_t tiles_m = div_up(m, kMC);
   const int64_t tiles_n = div_up(n, kNC);
@@ -184,6 +253,24 @@ void gemm_strided(int64_t m, int64_t n, int64_t k,
       }
     }
   });
+}
+
+}  // namespace
+
+void gemm_strided(int64_t m, int64_t n, int64_t k,
+                  const float* a, int64_t a_rs, int64_t a_cs,
+                  const float* b, int64_t b_rs, int64_t b_cs,
+                  float* c, bool accumulate) {
+  gemm_packed(m, n, k, a, a_rs, a_cs,
+              [&](float* packB) { pack_b(b, b_rs, b_cs, k, n, packB); }, c,
+              accumulate);
+}
+
+void gemm_conv(int64_t m, const float* a, const ConvOperand& b, float* c,
+               bool accumulate) {
+  const int64_t k = b.rows();
+  gemm_packed(m, b.cols(), k, a, k, 1,
+              [&](float* packB) { pack_b_conv(b, packB); }, c, accumulate);
 }
 
 }  // namespace deco::detail

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "deco/core/telemetry.h"
 #include "deco/core/thread_pool.h"
 #include "deco/tensor/check.h"
 #include "deco/tensor/gemm.h"
@@ -24,6 +25,29 @@ void check_acc_shape(const Tensor& out, int64_t m, int64_t n, const char* op) {
   DECO_CHECK(out.ndim() == 2 && out.dim(0) == m && out.dim(1) == n,
              std::string(op) + ": accumulator shape " + out.shape_str() +
                  " does not match result");
+}
+
+// Output positions o in [lo, hi) whose tap o*stride + offset lands inside
+// [0, extent).
+struct TapRange {
+  int64_t lo, hi;
+};
+TapRange valid_taps(int64_t offset, int64_t stride, int64_t out, int64_t extent) {
+  const int64_t lo = offset >= 0 ? 0 : (-offset + stride - 1) / stride;
+  const int64_t hi =
+      extent - 1 - offset < 0
+          ? 0
+          : std::min<int64_t>(out, (extent - 1 - offset) / stride + 1);
+  return {lo, hi};
+}
+
+void check_padded(const Tensor& padded, const Conv2dGeometry& g,
+                  const char* op) {
+  DECO_CHECK(padded.ndim() == 4 && padded.dim(1) == g.in_channels &&
+                 padded.dim(2) == g.in_h + 2 * g.padding &&
+                 padded.dim(3) == g.in_w + 2 * g.padding,
+             std::string(op) + ": padded input " + padded.shape_str() +
+                 " disagrees with geometry");
 }
 
 // Rows per parallel chunk, sized so a chunk carries ~64k scalar ops: small
@@ -190,6 +214,7 @@ void col2im_into(const Tensor& cols, const Conv2dGeometry& g, Tensor& grad_input
   DECO_CHECK(cols.ndim() == 2 && cols.dim(0) == g.col_rows() &&
                  cols.dim(1) == total_cols,
              "col2im: cols shape " + cols.shape_str() + " disagrees with geometry");
+  DECO_TRACE_SCOPE("tensor/col2im");
   grad_input.zero();
   const float* pc = cols.data();
   float* pi = grad_input.data();
@@ -197,7 +222,9 @@ void col2im_into(const Tensor& cols, const Conv2dGeometry& g, Tensor& grad_input
   // Kernel taps of one channel overlap in the gradient image, so the split
   // is over disjoint (c, n) planes instead; within a plane the taps run in
   // the serial (ky, kx) order, keeping each pixel's accumulation order — and
-  // therefore the float result — identical for every thread count.
+  // therefore the float result — identical for every thread count. Each
+  // tap's in-image (oy, ox) range is computed up front, so the inner loop is
+  // a plain (at stride 1, contiguous) add with no per-element test.
   const int64_t plane_work = g.kernel_h * g.kernel_w * cols_per_sample;
   core::parallel_for(
       0, g.in_channels * N, row_grain(plane_work),
@@ -207,22 +234,116 @@ void col2im_into(const Tensor& cols, const Conv2dGeometry& g, Tensor& grad_input
           const int64_t n = p % N;
           float* img = pi + (n * g.in_channels + c) * g.in_h * g.in_w;
           for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+            const TapRange ys =
+                valid_taps(ky - g.padding, g.stride, oh, g.in_h);
             for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
+              const TapRange xs =
+                  valid_taps(kx - g.padding, g.stride, ow, g.in_w);
+              if (xs.lo >= xs.hi) continue;
               const int64_t row = (c * g.kernel_h + ky) * g.kernel_w + kx;
-              const float* src = pc + row * total_cols + n * cols_per_sample;
-              for (int64_t oy = 0; oy < oh; ++oy) {
-                const int64_t iy = oy * g.stride + ky - g.padding;
-                if (iy < 0 || iy >= g.in_h) continue;
-                float* dst_row = img + iy * g.in_w;
-                for (int64_t ox = 0; ox < ow; ++ox) {
-                  const int64_t ix = ox * g.stride + kx - g.padding;
-                  if (ix >= 0 && ix < g.in_w) dst_row[ix] += src[oy * ow + ox];
+              const float* src =
+                  pc + row * total_cols + n * cols_per_sample + xs.lo;
+              const int64_t len = xs.hi - xs.lo;
+              for (int64_t oy = ys.lo; oy < ys.hi; ++oy) {
+                float* dst = img + (oy * g.stride + ky - g.padding) * g.in_w +
+                             xs.lo * g.stride + kx - g.padding;
+                const float* s = src + oy * ow;
+                if (g.stride == 1) {
+                  for (int64_t i = 0; i < len; ++i) dst[i] += s[i];
+                } else {
+                  for (int64_t i = 0; i < len; ++i) dst[i * g.stride] += s[i];
                 }
               }
             }
           }
         }
       });
+}
+
+void pad_into(const Tensor& input, const Conv2dGeometry& g, Tensor& padded) {
+  DECO_CHECK(input.ndim() == 4 && input.dim(1) == g.in_channels &&
+                 input.dim(2) == g.in_h && input.dim(3) == g.in_w,
+             "pad: input " + input.shape_str() + " disagrees with geometry");
+  DECO_TRACE_SCOPE("tensor/conv_pad");
+  const int64_t N = input.dim(0), H = g.in_h, W = g.in_w, p = g.padding;
+  const int64_t Hp = H + 2 * p, Wp = W + 2 * p;
+  ensure_shape(padded, {N, g.in_channels, Hp, Wp});
+  const float* pi = input.data();
+  float* pp = padded.data();
+  // Every plane is rewritten whole, border included, so a reused buffer
+  // never carries stale values into the border. Planes are disjoint.
+  core::parallel_for(0, N * g.in_channels, row_grain(Hp * Wp),
+                     [&](int64_t p0, int64_t p1) {
+    for (int64_t plane = p0; plane < p1; ++plane) {
+      const float* src = pi + plane * H * W;
+      float* dst = pp + plane * Hp * Wp;
+      std::fill(dst, dst + p * Wp, 0.0f);
+      for (int64_t y = 0; y < H; ++y) {
+        float* row = dst + (p + y) * Wp;
+        std::fill(row, row + p, 0.0f);
+        std::copy(src + y * W, src + (y + 1) * W, row + p);
+        std::fill(row + p + W, row + Wp, 0.0f);
+      }
+      std::fill(dst + (p + H) * Wp, dst + Hp * Wp, 0.0f);
+    }
+  });
+}
+
+void im2col_padded_into(const Tensor& padded, const Conv2dGeometry& g,
+                        Tensor& cols) {
+  check_padded(padded, g, "im2col_padded");
+  DECO_TRACE_SCOPE("tensor/im2col");
+  const int64_t N = padded.dim(0);
+  const int64_t Hp = padded.dim(2), Wp = padded.dim(3);
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  const int64_t rows = g.col_rows();
+  const int64_t cols_per_sample = oh * ow;
+  const int64_t total_cols = N * cols_per_sample;
+  ensure_shape(cols, {rows, total_cols});
+  const float* pp = padded.data();
+  float* pc = cols.data();
+
+  // Same row ownership as im2col_into; the border stands in for the
+  // out-of-image taps, so each output row is a straight (strided) copy.
+  core::parallel_for(0, rows, row_grain(total_cols), [&](int64_t r0, int64_t r1) {
+    for (int64_t row = r0; row < r1; ++row) {
+      const int64_t kx = row % g.kernel_w;
+      const int64_t ky = (row / g.kernel_w) % g.kernel_h;
+      const int64_t c = row / (g.kernel_w * g.kernel_h);
+      float* dst = pc + row * total_cols;
+      for (int64_t n = 0; n < N; ++n) {
+        const float* tap = pp + (n * g.in_channels + c) * Hp * Wp + ky * Wp + kx;
+        for (int64_t oy = 0; oy < oh; ++oy, dst += ow) {
+          const float* src = tap + oy * g.stride * Wp;
+          for (int64_t ox = 0; ox < ow; ++ox) dst[ox] = src[ox * g.stride];
+        }
+      }
+    }
+  });
+}
+
+void conv_matmul_into(const Tensor& weight, const Tensor& padded,
+                      const Conv2dGeometry& g, Tensor& out) {
+  check_padded(padded, g, "conv_matmul");
+  DECO_CHECK(weight.ndim() == 2 && weight.dim(1) == g.col_rows(),
+             "conv_matmul: weight " + weight.shape_str() +
+                 " disagrees with geometry");
+  DECO_CHECK(g.out_h() > 0 && g.out_w() > 0,
+             "conv_matmul: kernel larger than the padded input");
+  detail::ConvOperand b;
+  b.padded = padded.data();
+  b.batch = padded.dim(0);
+  b.channels = g.in_channels;
+  b.padded_h = padded.dim(2);
+  b.padded_w = padded.dim(3);
+  b.kernel_h = g.kernel_h;
+  b.kernel_w = g.kernel_w;
+  b.stride = g.stride;
+  b.out_h = g.out_h();
+  b.out_w = g.out_w();
+  ensure_shape(out, {weight.dim(0), b.cols()});
+  detail::gemm_conv(weight.dim(0), weight.data(), b, out.data(),
+                    /*accumulate=*/false);
 }
 
 void softmax_rows_into(const Tensor& logits, Tensor& probs) {

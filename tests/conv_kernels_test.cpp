@@ -1,0 +1,410 @@
+// The ConvNet's conv and per-plane kernels against the code they replaced,
+// compared byte for byte (memcmp) at 1 and 4 threads:
+//   * pad_into + conv_matmul_into (the GEMM packing its B panels straight
+//     from the padded input) against matmul_into(W, im2col_into(x)),
+//     im2col_padded_into against im2col_into, and col2im_into against the
+//     bounds-test-per-element loop kept below;
+//   * InstanceNorm2d and AvgPool2d forward/backward against the one-plane
+//     loops kept below, with N·C not a multiple of the 8-plane block;
+//   * Conv2d's dW after two forwards: it must come from the second input.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "deco/core/thread_pool.h"
+#include "deco/nn/layers.h"
+#include "deco/tensor/check.h"
+#include "deco/tensor/ops.h"
+#include "test_util.h"
+
+namespace deco {
+namespace {
+
+using deco::testing::random_tensor;
+
+::testing::AssertionResult same_bytes(const Tensor& got, const Tensor& want) {
+  if (got.shape() != want.shape()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.shape_str() << " vs " << want.shape_str();
+  }
+  if (std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << "bytes differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Runs `body` at 1 and at 4 pool threads, then restores the pool size.
+void at_1_and_4_threads(const std::function<void()>& body) {
+  const int saved = core::num_threads();
+  for (int t : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(t));
+    core::set_num_threads(t);
+    body();
+  }
+  core::set_num_threads(saved);
+}
+
+nn::ParamRef param(nn::Module& m, const std::string& name) {
+  for (nn::ParamRef& p : m.parameters()) {
+    if (p.name == name) return p;
+  }
+  ADD_FAILURE() << "no parameter " << name;
+  return {};
+}
+
+// ---- convolution GEMM and col2im --------------------------------------------
+
+// col2im with a bounds test per element, in the (ky, kx, oy, ox) order the
+// hoisted kernel must keep.
+Tensor reference_col2im(const Tensor& cols, const Conv2dGeometry& g,
+                        int64_t batch) {
+  Tensor img({batch, g.in_channels, g.in_h, g.in_w});
+  const int64_t oh = g.out_h(), ow = g.out_w(), total = batch * oh * ow;
+  for (int64_t c = 0; c < g.in_channels; ++c) {
+    for (int64_t n = 0; n < batch; ++n) {
+      float* plane = img.data() + (n * g.in_channels + c) * g.in_h * g.in_w;
+      for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+        for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
+          const int64_t row = (c * g.kernel_h + ky) * g.kernel_w + kx;
+          const float* src = cols.data() + row * total + n * oh * ow;
+          for (int64_t oy = 0; oy < oh; ++oy) {
+            const int64_t iy = oy * g.stride + ky - g.padding;
+            if (iy < 0 || iy >= g.in_h) continue;
+            for (int64_t ox = 0; ox < ow; ++ox) {
+              const int64_t ix = ox * g.stride + kx - g.padding;
+              if (ix >= 0 && ix < g.in_w) {
+                plane[iy * g.in_w + ix] += src[oy * ow + ox];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return img;
+}
+
+void expect_conv_gemm_matches(int64_t batch, int64_t channels, int64_t h,
+                              int64_t w, int64_t kernel, int64_t stride,
+                              int64_t padding, int64_t out_channels,
+                              uint64_t seed) {
+  SCOPED_TRACE("N=" + std::to_string(batch) + " C=" + std::to_string(channels) +
+               " H=" + std::to_string(h) + " W=" + std::to_string(w) +
+               " k=" + std::to_string(kernel) + " s=" + std::to_string(stride) +
+               " p=" + std::to_string(padding));
+  const Conv2dGeometry g{channels, h, w, kernel, kernel, stride, padding};
+  Rng rng(seed);
+  const Tensor x = random_tensor({batch, channels, h, w}, rng);
+  const Tensor weight = random_tensor({out_channels, g.col_rows()}, rng);
+
+  Tensor cols, want;
+  im2col_into(x, g, cols);
+  matmul_into(weight, cols, want);
+
+  Tensor padded, got, cols_from_padded;
+  pad_into(x, g, padded);
+  conv_matmul_into(weight, padded, g, got);
+  im2col_padded_into(padded, g, cols_from_padded);
+  EXPECT_TRUE(same_bytes(got, want));
+  EXPECT_TRUE(same_bytes(cols_from_padded, cols));
+
+  Tensor image({batch, channels, h, w});
+  col2im_into(cols, g, image);
+  EXPECT_TRUE(same_bytes(image, reference_col2im(cols, g, batch)));
+}
+
+TEST(ConvKernelsTest, GemmConvMatchesMatmulOverIm2col) {
+  at_1_and_4_threads([] {
+    bool saw_partial_strip = false;
+    uint64_t seed = 300;
+    for (int64_t kernel : {1, 3, 5}) {
+      for (int64_t stride : {1, 2}) {
+        for (int64_t padding : {0, 1, 2}) {
+          for (int64_t batch : {1, 3}) {
+            // H != W, and H, W >= kernel so every geometry is valid.
+            const int64_t h = 7, w = 9;
+            const Conv2dGeometry g{3, h, w, kernel, kernel, stride, padding};
+            saw_partial_strip |= batch * g.out_h() * g.out_w() % 32 != 0;
+            expect_conv_gemm_matches(batch, 3, h, w, kernel, stride, padding,
+                                     5, seed++);
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(saw_partial_strip);
+  });
+}
+
+TEST(ConvKernelsTest, GemmConvMatchesAtWidthsDividingTheStrip) {
+  // At output widths 4/8/16/32 and stride 1 every run of a strip is a whole
+  // output row; both shapes leave a partial last strip at some width, the
+  // second with H != W.
+  at_1_and_4_threads([] {
+    uint64_t seed = 350;
+    for (int64_t side : {4, 8, 16, 32}) {
+      expect_conv_gemm_matches(3, 5, side, side, 3, 1, 1, 7, seed++);
+      expect_conv_gemm_matches(1, 2, side + 4, side + 2, 3, 1, 0, 3, seed++);
+    }
+  });
+}
+
+TEST(ConvKernelsTest, GemmConvMatchesAcrossBlockBoundaries) {
+  // k = 270 crosses the KC block, n = 570 the NC tile, m = 70 the MC tile,
+  // and a 19-wide output row straddles NR strips.
+  at_1_and_4_threads([] {
+    expect_conv_gemm_matches(3, 30, 10, 19, 3, 1, 1, 70, 410);
+  });
+}
+
+TEST(ConvKernelsTest, GemmConvRejectsKernelLargerThanPaddedInput) {
+  const Conv2dGeometry g{1, 2, 2, 3, 3, 1, 0};
+  Tensor padded, out;
+  pad_into(Tensor({1, 1, 2, 2}), g, padded);
+  EXPECT_THROW(conv_matmul_into(Tensor({1, 9}), padded, g, out), Error);
+}
+
+// ---- InstanceNorm2d ----------------------------------------------------------
+
+struct NormResult {
+  Tensor out, dx, dgamma, dbeta;
+};
+
+// The one-plane-at-a-time InstanceNorm2d forward and backward.
+NormResult reference_norm(const Tensor& x, const Tensor& gamma,
+                          const Tensor& beta, const Tensor& dy, float eps) {
+  const int64_t N = x.dim(0), C = x.dim(1), M = x.dim(2) * x.dim(3);
+  NormResult r{Tensor(x.shape()), Tensor(x.shape()), Tensor({C}), Tensor({C})};
+  Tensor xhat(x.shape());
+  std::vector<float> inv_std(static_cast<size_t>(N * C));
+  for (int64_t nc = 0; nc < N * C; ++nc) {
+    const int64_t c = nc % C;
+    const float* src = x.data() + nc * M;
+    double mean = 0.0;
+    for (int64_t i = 0; i < M; ++i) mean += src[i];
+    mean /= static_cast<double>(M);
+    double var = 0.0;
+    for (int64_t i = 0; i < M; ++i) {
+      const double d = src[i] - mean;
+      var += d * d;
+    }
+    var /= static_cast<double>(M);
+    const float inv = static_cast<float>(1.0 / std::sqrt(var + eps));
+    inv_std[static_cast<size_t>(nc)] = inv;
+    float* xh = xhat.data() + nc * M;
+    float* dst = r.out.data() + nc * M;
+    const float g = gamma[c], b = beta[c], mu = static_cast<float>(mean);
+    for (int64_t i = 0; i < M; ++i) {
+      xh[i] = (src[i] - mu) * inv;
+      dst[i] = g * xh[i] + b;
+    }
+  }
+  for (int64_t nc = 0; nc < N * C; ++nc) {
+    const int64_t c = nc % C;
+    const float* d = dy.data() + nc * M;
+    const float* xh = xhat.data() + nc * M;
+    double sum_dy = 0.0, sum_dy_xh = 0.0;
+    for (int64_t i = 0; i < M; ++i) {
+      sum_dy += d[i];
+      sum_dy_xh += static_cast<double>(d[i]) * xh[i];
+    }
+    float* dx = r.dx.data() + nc * M;
+    const float g = gamma[c];
+    const float inv = inv_std[static_cast<size_t>(nc)];
+    const float mean_dy = static_cast<float>(sum_dy / M);
+    const float mean_dy_xh = static_cast<float>(sum_dy_xh / M);
+    for (int64_t i = 0; i < M; ++i) {
+      dx[i] = g * inv * (d[i] - mean_dy - xh[i] * mean_dy_xh);
+    }
+    r.dbeta[c] += static_cast<float>(sum_dy);
+    r.dgamma[c] += static_cast<float>(sum_dy_xh);
+  }
+  return r;
+}
+
+struct NormInput {
+  Tensor x, dy, gamma, beta;
+};
+
+// Planes whose double sums depend on their order: large values that cancel
+// over the plane (x: +v, −v, +v, −v by quarter; dy: +D, +D, −D, −D, so Σx,
+// Σdy and Σdy·x all cancel) on even elements, and values near 1e-3 on odd
+// ones. The running sums reach ~1e10, where a double cannot hold the small
+// values' low bits, and what survives depends on the order of the adds.
+// β = 0, so a small element's output γ·x̂ (~1e-11) carries the mean's bits.
+NormInput cancelling_planes(const std::vector<int64_t>& shape, Rng& rng) {
+  NormInput in{Tensor(shape), Tensor(shape), random_tensor({shape[1]}, rng),
+               Tensor({shape[1]})};
+  const int64_t M = shape[2] * shape[3], quarter = M / 4;
+  for (int64_t p = 0; p < shape[0] * shape[1]; ++p) {
+    float* xp = in.x.data() + p * M;
+    float* dp = in.dy.data() + p * M;
+    for (int64_t j = 0; j < quarter; ++j) {
+      const float v = static_cast<float>(rng.uniform(1e8, 2e8));
+      const float D = static_cast<float>(rng.uniform(1e8, 2e8));
+      for (int64_t q = 0; q < 4; ++q) {
+        const int64_t i = q * quarter + j;
+        if (j % 2 == 0) {
+          xp[i] = q % 2 == 0 ? v : -v;
+          dp[i] = q < 2 ? D : -D;
+        } else {
+          xp[i] = static_cast<float>(rng.uniform(-2e-3, 2e-3));
+          dp[i] = static_cast<float>(rng.uniform(-2e-3, 2e-3));
+        }
+      }
+    }
+  }
+  return in;
+}
+
+TEST(ConvKernelsTest, InstanceNormMatchesPerPlaneLoops) {
+  // 15 and 63 planes of random values: one and seven full 8-plane blocks,
+  // each with a tail. A double sum of a few dozen such floats has the same
+  // bits in any order, so the last input is 9 planes of 16×16 whose sums do
+  // change bits when reordered.
+  std::vector<NormInput> inputs;
+  Rng rng(500);
+  for (const auto& [batch, channels] : {std::pair<int64_t, int64_t>{3, 5},
+                                        std::pair<int64_t, int64_t>{7, 9}}) {
+    Tensor x = random_tensor({batch, channels, 6, 5}, rng, 3.0);
+    Tensor dy = random_tensor(x.shape(), rng);
+    inputs.push_back({std::move(x), std::move(dy),
+                      random_tensor({channels}, rng),
+                      random_tensor({channels}, rng)});
+  }
+  inputs.push_back(cancelling_planes({3, 3, 16, 16}, rng));
+  for (const NormInput& in : inputs) {
+    SCOPED_TRACE("input " + in.x.shape_str());
+    nn::InstanceNorm2d norm(in.x.dim(1));
+    *param(norm, "norm.gamma").value = in.gamma;
+    *param(norm, "norm.beta").value = in.beta;
+    const NormResult want = reference_norm(in.x, in.gamma, in.beta, in.dy, 1e-5f);
+    at_1_and_4_threads([&] {
+      norm.zero_grad();
+      EXPECT_TRUE(same_bytes(norm.forward(in.x), want.out));
+      EXPECT_TRUE(same_bytes(norm.backward(in.dy), want.dx));
+      EXPECT_TRUE(same_bytes(*param(norm, "norm.gamma").grad, want.dgamma));
+      EXPECT_TRUE(same_bytes(*param(norm, "norm.beta").grad, want.dbeta));
+    });
+  }
+}
+
+// ---- AvgPool2d ---------------------------------------------------------------
+
+// The general-kernel AvgPool2d loops, one plane at a time.
+Tensor reference_pool_forward(const Tensor& x, int64_t k) {
+  const int64_t N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
+  const int64_t oh = H / k, ow = W / k;
+  Tensor out({N, C, oh, ow});
+  const float inv = 1.0f / static_cast<float>(k * k);
+  for (int64_t nc = 0; nc < N * C; ++nc) {
+    const float* img = x.data() + nc * H * W;
+    float* dst = out.data() + nc * oh * ow;
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      for (int64_t ox = 0; ox < ow; ++ox) {
+        double acc = 0.0;
+        for (int64_t ky = 0; ky < k; ++ky) {
+          const float* rowp = img + (oy * k + ky) * W + ox * k;
+          for (int64_t kx = 0; kx < k; ++kx) acc += rowp[kx];
+        }
+        dst[oy * ow + ox] = static_cast<float>(acc) * inv;
+      }
+    }
+  }
+  return out;
+}
+
+Tensor reference_pool_backward(const Tensor& dy, const std::vector<int64_t>& in,
+                               int64_t k) {
+  const int64_t H = in[2], W = in[3], oh = H / k, ow = W / k;
+  Tensor dx(in);
+  const float inv = 1.0f / static_cast<float>(k * k);
+  for (int64_t nc = 0; nc < in[0] * in[1]; ++nc) {
+    float* img = dx.data() + nc * H * W;
+    const float* src = dy.data() + nc * oh * ow;
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      for (int64_t ox = 0; ox < ow; ++ox) {
+        const float g = src[oy * ow + ox] * inv;
+        for (int64_t ky = 0; ky < k; ++ky) {
+          float* rowp = img + (oy * k + ky) * W + ox * k;
+          for (int64_t kx = 0; kx < k; ++kx) rowp[kx] += g;
+        }
+      }
+    }
+  }
+  return dx;
+}
+
+TEST(ConvKernelsTest, AvgPoolMatchesPerPlaneLoops) {
+  for (int64_t kernel : {2, 3}) {
+    for (const auto& [batch, channels] : {std::pair<int64_t, int64_t>{3, 5},
+                                          std::pair<int64_t, int64_t>{7, 9}}) {
+      SCOPED_TRACE("kernel=" + std::to_string(kernel));
+      Rng rng(600 + kernel * 10 + batch);
+      Tensor x = random_tensor({batch, channels, 6 * kernel, 4 * kernel}, rng);
+      // An all −0 window: the double sum starts at +0.0, so the result is +0.
+      for (int64_t ky = 0; ky < kernel; ++ky)
+        for (int64_t kx = 0; kx < kernel; ++kx) x[ky * x.dim(3) + kx] = -0.0f;
+      const Tensor want_y = reference_pool_forward(x, kernel);
+      EXPECT_FALSE(std::signbit(want_y[0]));
+      const Tensor dy = random_tensor(want_y.shape(), rng);
+      const Tensor want_dx = reference_pool_backward(dy, x.shape(), kernel);
+      at_1_and_4_threads([&] {
+        nn::AvgPool2d pool(kernel);
+        EXPECT_TRUE(same_bytes(pool.forward(x), want_y));
+        EXPECT_TRUE(same_bytes(pool.backward(dy), want_dx));
+      });
+    }
+  }
+}
+
+// ---- Conv2d ------------------------------------------------------------------
+
+TEST(ConvKernelsTest, Conv2dWeightGradComesFromLastForward) {
+  // forward(A), forward(B), backward(kParams) must give the dW of B alone —
+  // with A both the same shape as B (padded buffer reused) and another batch
+  // (buffer resized).
+  Rng data(700);
+  const Tensor b = random_tensor({2, 3, 6, 7}, data);
+  const Tensor a_same = random_tensor(b.shape(), data);
+  const Tensor a_other = random_tensor({3, 3, 6, 7}, data, 4.0);
+  at_1_and_4_threads([&] {
+    Rng init(701);
+    nn::Conv2d fresh(3, 4, 3, 1, 1, init);
+    const Tensor want_y = fresh.forward(b);
+    const Tensor dy = random_tensor(want_y.shape(), data);
+    fresh.zero_grad();
+    fresh.backward(dy, nn::GradNeed::kParams);
+    const Tensor want_dw = *param(fresh, "conv.weight").grad;
+    const Tensor want_db = *param(fresh, "conv.bias").grad;
+
+    // The forward output itself: W·im2col(B) plus bias, as before.
+    Tensor cols, mat;
+    const Conv2dGeometry g{3, 6, 7, 3, 3, 1, 1};
+    im2col_into(b, g, cols);
+    matmul_into(*param(fresh, "conv.weight").value, cols, mat);
+    for (int64_t n = 0; n < 2; ++n)
+      for (int64_t oc = 0; oc < 4; ++oc)
+        for (int64_t i = 0; i < 42; ++i)
+          EXPECT_EQ(want_y[(n * 4 + oc) * 42 + i],
+                    mat.at2(oc, n * 42 + i) + (*param(fresh, "conv.bias").value)[oc]);
+
+    for (const Tensor* a : {&a_same, &a_other}) {
+      Rng same_init(701);
+      nn::Conv2d conv(3, 4, 3, 1, 1, same_init);
+      conv.forward(*a);
+      EXPECT_TRUE(same_bytes(conv.forward(b), want_y));
+      conv.zero_grad();
+      conv.backward(dy, nn::GradNeed::kParams);
+      EXPECT_TRUE(same_bytes(*param(conv, "conv.weight").grad, want_dw));
+      EXPECT_TRUE(same_bytes(*param(conv, "conv.bias").grad, want_db));
+    }
+  });
+}
+
+}  // namespace
+}  // namespace deco

@@ -178,6 +178,17 @@ TEST(AvgPoolTest, RejectsIndivisibleDims) {
   EXPECT_THROW(pool.forward(x), Error);
 }
 
+TEST(AvgPoolTest, BackwardRejectsMismatchedBatch) {
+  // Only the spatial dims used to be checked, so a gradient with fewer
+  // (n, c) planes passed and the scatter read past its end.
+  AvgPool2d pool(2);
+  pool.forward(Tensor({3, 2, 4, 4}));
+  EXPECT_THROW(pool.backward(Tensor({1, 2, 2, 2})), Error);
+  EXPECT_THROW(pool.backward(Tensor({3, 1, 2, 2})), Error);
+  EXPECT_THROW(pool.backward(Tensor({3, 2, 2, 2, 1})), Error);
+  EXPECT_NO_THROW(pool.backward(Tensor({3, 2, 2, 2})));
+}
+
 TEST(InstanceNormTest, NormalizesPerChannelPerSample) {
   Rng rng(10);
   InstanceNorm2d norm(2);
