@@ -2,6 +2,11 @@
 // [Conv3x3 → InstanceNorm → ReLU → AvgPool2x2] followed by a linear
 // classification head. The convolutional stack doubles as the encoder f_θ for
 // the feature-discrimination objective (Section III-D).
+//
+// With average pooling each block is two layers, Conv2d and NormReluPool
+// (the norm, ReLU and pool fused, bitwise equal to the three layers), so the
+// encoder's spans read nn/<2d>:Conv2d/... and nn/<2d+1>:NormReluPool/....
+// Max-pooling nets keep Conv2d, InstanceNorm2d, ReLU and MaxPool2d.
 #pragma once
 
 #include <cstdint>

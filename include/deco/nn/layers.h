@@ -1,10 +1,12 @@
 // Concrete layers for the ConvNet backbone used throughout the paper:
-// Conv2d, Linear, ReLU, AvgPool2d, InstanceNorm2d and Flatten.
+// Conv2d, Linear, ReLU, AvgPool2d, MaxPool2d, InstanceNorm2d, NormReluPool
+// (InstanceNorm2d → ReLU → AvgPool2d(2) fused) and Flatten.
 //
 // All image tensors are NCHW. Layers cache exactly what their backward pass
 // needs and reuse buffers across iterations to avoid per-step allocation.
-// Conv2d, Linear and InstanceNorm2d skip the gradients a GradNeed rules out;
-// the parameter-free layers ignore it and always return dL/dx.
+// Conv2d, Linear, InstanceNorm2d and NormReluPool skip the gradients a
+// GradNeed rules out; the parameter-free layers ignore it and always return
+// dL/dx.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +17,10 @@
 namespace deco::nn {
 
 /// 2-D convolution via pad + packed implicit im2col: the input is copied
-/// once into a zero-bordered buffer and the forward GEMM packs its panels
-/// straight from it. Weight layout: [out_ch, in_ch*kh*kw], bias: [out_ch].
+/// once into a zero-bordered buffer, and both the forward GEMM and the dW
+/// GEMM pack their panels straight from it. Only the dX GEMM writes a column
+/// matrix, which col2im folds back. Weight layout: [out_ch, in_ch*kh*kw],
+/// bias: [out_ch].
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel, int64_t stride,
@@ -45,7 +49,6 @@ class Conv2d : public Module {
 
   Conv2dGeometry geom_;  // of the last forward
   Tensor padded_;        // last input with its zero border
-  Tensor cols_;          // im2col of last input, built on the dW path only
   Tensor out_mat_;       // GEMM output scratch
   Tensor grad_out_mat_;  // backward scratch
   Tensor grad_cols_;     // backward scratch
@@ -132,7 +135,14 @@ class InstanceNorm2d : public Module {
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "InstanceNorm2d"; }
 
- private:
+ protected:
+  /// The backward InstanceNorm2d and NormReluPool share, after their shape
+  /// checks: dy_of(block, nc0, scratch) returns the dy of planes
+  /// [nc0, nc0 + block), read from the gradient or built in the block's
+  /// Workspace scratch. Defined in src/nn/norm.cpp, its only user.
+  template <typename DyOf>
+  Tensor backward_planes(GradNeed need, const DyOf& dy_of);
+
   int64_t channels_;
   float eps_;
   Tensor gamma_;       // [C]
@@ -142,6 +152,26 @@ class InstanceNorm2d : public Module {
   Tensor xhat_;        // normalized input, cached
   Tensor inv_std_;     // [N*C]
   std::vector<int64_t> in_shape_;
+};
+
+/// One ConvNet block tail as a single layer: InstanceNorm2d → ReLU →
+/// AvgPool2d(2), run in one pass per plane. Forward keeps only what backward
+/// needs (x̂, inv_std and the ReLU mask), not the norm or ReLU outputs;
+/// backward forms each plane's pooled, masked dy in scratch. Every element
+/// keeps the three layers' arithmetic and summation order, so outputs and
+/// gradients are bitwise those of the unfused stack. Shares InstanceNorm2d's
+/// parameters, their names (norm.gamma, norm.beta) and initialization.
+class NormReluPool : public InstanceNorm2d {
+ public:
+  using InstanceNorm2d::InstanceNorm2d;
+
+  Tensor forward(const Tensor& input) override;
+  Tensor backward(const Tensor& grad_output,
+                  GradNeed need = GradNeed::kAll) override;
+  std::string name() const override { return "NormReluPool"; }
+
+ private:
+  Tensor mask_;  // 1 where the normalized, affine output is > 0
 };
 
 /// Reshapes [N, C, H, W] to [N, C*H*W].

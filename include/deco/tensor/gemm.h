@@ -3,8 +3,9 @@
 // One strided entry point covers all three public variants (NN, Tᵀ·N, N·Bᵀ):
 // the operands are described by row/column strides, the kernel packs them
 // into contiguous aligned panels, and a fixed microkernel does the flops.
-// A second entry point, gemm_conv, runs the same kernel for a convolution:
-// it packs B straight from a zero-bordered input instead of an im2col matrix.
+// Two more entry points, gemm_conv and gemm_conv_nt, run the same kernel for
+// a convolution's forward and weight-gradient products: they pack B straight
+// from a zero-bordered input instead of an im2col matrix.
 // See src/tensor/gemm.cpp for the blocking scheme and the determinism
 // argument, and docs/EXTENDING.md for how to tune the block sizes.
 #pragma once
@@ -53,5 +54,13 @@ struct ConvOperand {
 /// gemm_strided(m, n, k, a, k, 1, im2col, n, 1, c, accumulate).
 void gemm_conv(int64_t m, const float* a, const ConvOperand& b, float* c,
                bool accumulate);
+
+/// C (row-major, m×b.rows()) = A·Bᵀ with A row-major m×b.cols() and B the
+/// implicit im2col matrix described by `b` — a convolution's weight
+/// gradient. Bitwise identical to
+/// gemm_strided(m, b.rows(), b.cols(), a, b.cols(), 1, im2col, 1, b.cols(),
+/// c, accumulate).
+void gemm_conv_nt(int64_t m, const float* a, const ConvOperand& b, float* c,
+                  bool accumulate);
 
 }  // namespace deco::detail

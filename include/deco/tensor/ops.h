@@ -68,17 +68,21 @@ void col2im_into(const Tensor& cols, const Conv2dGeometry& g, Tensor& grad_input
 
 /// Copies NCHW `input` into `padded` [N, C, H+2p, W+2p] (p = g.padding)
 /// with a zero border. Every tap of the convolution then lands inside
-/// `padded`, so the two readers below never bounds-check.
+/// `padded`, so the two GEMMs below never bounds-check.
 void pad_into(const Tensor& input, const Conv2dGeometry& g, Tensor& padded);
-/// im2col of a pad_into() result: the same columns as im2col_into(input).
-void im2col_padded_into(const Tensor& padded, const Conv2dGeometry& g,
-                        Tensor& cols);
 /// out [out_ch, N*OH*OW] = weight [out_ch, C*kh*kw] x im2col(input), where
 /// `padded` is pad_into(input). The GEMM packs its B panels straight from
 /// `padded` (detail::gemm_conv), so no column matrix is built; the result is
 /// bitwise equal to matmul_into(weight, im2col_into(input)).
 void conv_matmul_into(const Tensor& weight, const Tensor& padded,
                       const Conv2dGeometry& g, Tensor& out);
+/// out [out_ch, C*kh*kw] += grad [out_ch, N*OH*OW] x im2col(input)^T — a
+/// convolution's weight gradient, with `padded` = pad_into(input). The GEMM
+/// packs the transposed panels straight from `padded`
+/// (detail::gemm_conv_nt); the result is bitwise equal to
+/// matmul_nt_acc_into(grad, im2col_into(input), out).
+void conv_matmul_nt_acc_into(const Tensor& grad, const Tensor& padded,
+                             const Conv2dGeometry& g, Tensor& out);
 
 // ---- row-wise softmax family --------------------------------------------------
 

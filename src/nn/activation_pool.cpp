@@ -10,24 +10,28 @@ namespace deco::nn {
 // ---- ReLU -------------------------------------------------------------------
 
 Tensor ReLU::forward(const Tensor& input) {
-  Tensor out = input;
   if (!mask_.same_shape(input)) mask_ = Tensor(input.shape());
+  Tensor out(input.shape());
+  const float* pi = input.data();
   float* po = out.data();
   float* pm = mask_.data();
+  // One pass: NaN and −0 fail the test, so both come out +0.
   core::parallel_for(0, out.numel(), int64_t{1} << 16,
                      [&](int64_t i0, int64_t i1) {
                        for (int64_t i = i0; i < i1; ++i) {
-                         const bool pos = po[i] > 0.0f;
+                         const float v = pi[i];
+                         const bool pos = v > 0.0f;
                          pm[i] = pos ? 1.0f : 0.0f;
-                         if (!pos) po[i] = 0.0f;
+                         po[i] = pos ? v : 0.0f;
                        }
                      });
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output, GradNeed /*need*/) {
-  DECO_CHECK(grad_output.numel() == mask_.numel(),
-             "ReLU::backward called without matching forward");
+  DECO_CHECK(grad_output.shape() == mask_.shape(),
+             "ReLU::backward: grad " + grad_output.shape_str() +
+                 " does not match forward output " + mask_.shape_str());
   Tensor grad = grad_output;
   grad.mul_(mask_);
   return grad;
@@ -53,25 +57,10 @@ Tensor AvgPool2d::forward(const Tensor& input) {
   const float* pi = input.data();
   float* po = out.data();
   // Each (n, c) plane is pooled independently: disjoint reads and writes.
-  // The 2×2 case (the ConvNet's) is spelled out straight-line; it adds in the
-  // general loop's order, 0.0 + the four taps row by row, in double.
   core::parallel_for(0, N * C, kPoolGrain, [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       const float* img = pi + nc * H * W;
       float* dst = po + nc * oh * ow;
-      if (kernel_ == 2) {
-        for (int64_t oy = 0; oy < oh; ++oy) {
-          const float* r0 = img + 2 * oy * W;
-          const float* r1 = r0 + W;
-          float* d = dst + oy * ow;
-          for (int64_t ox = 0; ox < ow; ++ox) {
-            const double acc = 0.0 + r0[2 * ox] + r0[2 * ox + 1] +
-                               r1[2 * ox] + r1[2 * ox + 1];
-            d[ox] = static_cast<float>(acc) * inv;
-          }
-        }
-        continue;
-      }
       for (int64_t oy = 0; oy < oh; ++oy) {
         for (int64_t ox = 0; ox < ow; ++ox) {
           double acc = 0.0;
@@ -104,21 +93,6 @@ Tensor AvgPool2d::backward(const Tensor& grad_output, GradNeed /*need*/) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       float* img = pi + nc * H * W;
       const float* src = pg + nc * oh * ow;
-      if (kernel_ == 2) {
-        for (int64_t oy = 0; oy < oh; ++oy) {
-          float* r0 = img + 2 * oy * W;
-          float* r1 = r0 + W;
-          const float* s = src + oy * ow;
-          for (int64_t ox = 0; ox < ow; ++ox) {
-            const float g = s[ox] * inv;
-            r0[2 * ox] += g;
-            r0[2 * ox + 1] += g;
-            r1[2 * ox] += g;
-            r1[2 * ox + 1] += g;
-          }
-        }
-        continue;
-      }
       for (int64_t oy = 0; oy < oh; ++oy) {
         for (int64_t ox = 0; ox < ow; ++ox) {
           const float g = src[oy * ow + ox] * inv;
@@ -179,17 +153,19 @@ Tensor MaxPool2d::forward(const Tensor& input) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_output, GradNeed /*need*/) {
   DECO_CHECK(!in_shape_.empty(), "MaxPool2d::backward without forward");
-  DECO_CHECK(grad_output.numel() == static_cast<int64_t>(argmax_.size()),
-             "MaxPool2d::backward: grad shape mismatch");
+  const int64_t N = in_shape_[0], C = in_shape_[1], H = in_shape_[2],
+                W = in_shape_[3];
+  const int64_t oh = H / kernel_, ow = W / kernel_;
+  DECO_CHECK(grad_output.shape() == std::vector<int64_t>({N, C, oh, ow}),
+             "MaxPool2d::backward: grad " + grad_output.shape_str() +
+                 " does not match forward output");
   Tensor grad_input(in_shape_);
   float* pi = grad_input.data();
   const float* pg = grad_output.data();
   // argmax indices never leave their own (n, c) plane, so scattering one
   // plane's outputs per task touches a disjoint slice of grad_input.
-  const int64_t H = in_shape_[2], W = in_shape_[3];
-  const int64_t oh = H / kernel_, ow = W / kernel_;
   const int64_t plane_out = oh * ow;
-  const int64_t planes = grad_output.numel() / plane_out;
+  const int64_t planes = N * C;
   core::parallel_for(0, planes, 1, [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       for (int64_t i = nc * plane_out; i < (nc + 1) * plane_out; ++i)

@@ -103,11 +103,10 @@ Tensor Conv2d::backward(const Tensor& grad_output, GradNeed need) {
   });
 
   if (want_params) {
-    // dW += grad_mat [out_ch, cols] x cols^T [cols, rows], folded straight
-    // into the accumulator — no dw temporary. Only this GEMM needs the
-    // column matrix, so it is built here, from the forward's padded_.
-    im2col_padded_into(padded_, geom_, cols_);
-    matmul_nt_acc_into(grad_out_mat_, cols_, weight_grad_);
+    // dW += grad_mat [out_ch, cols] x im2col(input)^T [cols, rows], folded
+    // straight into the accumulator, with the GEMM packing its transposed
+    // panels from the forward's padded_: no column matrix, no dw temporary.
+    conv_matmul_nt_acc_into(grad_out_mat_, padded_, geom_, weight_grad_);
   }
   if (need == GradNeed::kParams) return Tensor();
 

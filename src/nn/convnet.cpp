@@ -16,14 +16,14 @@ ConvNet::ConvNet(const ConvNetConfig& config, Rng& rng) : config_(config) {
   for (int64_t d = 0; d < config.depth; ++d) {
     encoder_.add(std::make_unique<Conv2d>(c, config.width, /*kernel=*/3,
                                           /*stride=*/1, /*padding=*/1, rng));
-    encoder_.add(std::make_unique<InstanceNorm2d>(config.width));
-    encoder_.add(std::make_unique<ReLU>());
     DECO_CHECK(h % 2 == 0 && w % 2 == 0,
                "ConvNet: image size must halve cleanly at block " +
                    std::to_string(d));
     if (config.pooling == Pooling::kAvg) {
-      encoder_.add(std::make_unique<AvgPool2d>(2));
+      encoder_.add(std::make_unique<NormReluPool>(config.width));
     } else {
+      encoder_.add(std::make_unique<InstanceNorm2d>(config.width));
+      encoder_.add(std::make_unique<ReLU>());
       encoder_.add(std::make_unique<MaxPool2d>(2));
     }
     c = config.width;

@@ -1,7 +1,9 @@
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "deco/core/thread_pool.h"
+#include "deco/core/workspace.h"
 #include "deco/nn/layers.h"
 #include "deco/tensor/check.h"
 
@@ -11,59 +13,42 @@ namespace {
 
 constexpr int64_t kPlaneBlock = 8;
 
-// InstanceNorm2d's forward over B consecutive (n, c) planes. Each plane keeps
-// its own double mean/var sums in ascending element order; running B planes
-// side by side only overlaps B independent add chains, so every plane's
-// result is exactly what a one-plane loop computes.
-struct NormPlanes {
-  const float* in;
-  float* xhat;
-  float* inv_std;
-  float* out;
-  const float* gamma;
-  const float* beta;
-  int64_t M;
-  int64_t channels;
-  float eps;
-
-  template <int64_t B>
-  void run(int64_t nc0) const {
-    const float* src = in + nc0 * M;
-    double mean[B] = {};
-    for (int64_t i = 0; i < M; ++i) {
-      for (int64_t b = 0; b < B; ++b) mean[b] += src[b * M + i];
-    }
-    for (int64_t b = 0; b < B; ++b) mean[b] /= static_cast<double>(M);
-    double var[B] = {};
-    for (int64_t i = 0; i < M; ++i) {
-      for (int64_t b = 0; b < B; ++b) {
-        const double d = src[b * M + i] - mean[b];
-        var[b] += d * d;
-      }
-    }
+// Normalizes B consecutive (n, c) planes of `in` starting at plane nc0:
+// stores each plane's inv_std and hands write(nc, x, mu, inv) its input,
+// float mean and inv_std. Each plane keeps its own double mean/var sums in
+// ascending element order; running B planes side by side only overlaps B
+// independent add chains, so every plane's statistics are exactly what a
+// one-plane loop computes.
+template <int64_t B, typename Write>
+void normalize_planes(const float* in, int64_t nc0, int64_t M, float eps,
+                      float* inv_std, const Write& write) {
+  const float* src = in + nc0 * M;
+  double mean[B] = {};
+  for (int64_t i = 0; i < M; ++i) {
+    for (int64_t b = 0; b < B; ++b) mean[b] += src[b * M + i];
+  }
+  for (int64_t b = 0; b < B; ++b) mean[b] /= static_cast<double>(M);
+  double var[B] = {};
+  for (int64_t i = 0; i < M; ++i) {
     for (int64_t b = 0; b < B; ++b) {
-      const int64_t nc = nc0 + b;
-      const double v = var[b] / static_cast<double>(M);
-      const float inv = static_cast<float>(1.0 / std::sqrt(v + eps));
-      inv_std[nc] = inv;
-      const float* x = src + b * M;
-      float* xh = xhat + nc * M;
-      float* dst = out + nc * M;
-      const int64_t c = nc % channels;
-      const float g = gamma[c], bt = beta[c], mu = static_cast<float>(mean[b]);
-      for (int64_t i = 0; i < M; ++i) {
-        xh[i] = (x[i] - mu) * inv;
-        dst[i] = g * xh[i] + bt;
-      }
+      const double d = src[b * M + i] - mean[b];
+      var[b] += d * d;
     }
   }
-};
+  for (int64_t b = 0; b < B; ++b) {
+    const int64_t nc = nc0 + b;
+    const double v = var[b] / static_cast<double>(M);
+    const float inv = static_cast<float>(1.0 / std::sqrt(v + eps));
+    inv_std[nc] = inv;
+    write(nc, src + b * M, static_cast<float>(mean[b]), inv);
+  }
+}
 
-// Phase 1 of InstanceNorm2d's backward over B consecutive planes: each
-// plane's ascending double sums of dy and dy·x̂ (B planes side by side, as
-// in NormPlanes), stored for the serial γ/β fold, then dx when asked for.
+// Phase 1 of the InstanceNorm backward over B consecutive planes, whose dy
+// lies at `d`, one plane after another: each plane's ascending double sums
+// of dy and dy·x̂ (B planes side by side, as in normalize_planes), stored for
+// the serial γ/β fold, then dx when asked for.
 struct NormGradPlanes {
-  const float* dy;
   const float* xhat;
   const float* inv_std;
   const float* gamma;
@@ -75,8 +60,7 @@ struct NormGradPlanes {
   bool want_input;
 
   template <int64_t B>
-  void run(int64_t nc0) const {
-    const float* d = dy + nc0 * M;
+  void run(int64_t nc0, const float* d) const {
     const float* x = xhat + nc0 * M;
     double s_dy[B] = {}, s_dy_xh[B] = {};
     for (int64_t i = 0; i < M; ++i) {
@@ -107,20 +91,24 @@ struct NormGradPlanes {
   }
 };
 
-// Runs body.run<kPlaneBlock> over every whole block of a parallel chunk and
-// body.run<1> over the rest. Chunks are whole blocks except the last, so
-// only the last few planes run one at a time. Planes write disjoint outputs,
-// so the split is bitwise deterministic.
-template <typename Planes>
-void for_each_plane_block(int64_t planes, const Planes& body) {
+// Calls body(block, nc) for every whole kPlaneBlock block of a parallel
+// chunk and body(one, nc) for the rest, where `block` / `one` are
+// std::integral_constant plane counts. Chunks are whole blocks except the
+// last, so only the last few planes run one at a time. Planes write
+// disjoint outputs, so the split is bitwise deterministic.
+template <typename Body>
+void for_each_plane_block(int64_t planes, const Body& body) {
   core::parallel_for(0, planes, kPlaneBlock, [&](int64_t nc0, int64_t nc1) {
     int64_t nc = nc0;
     for (; nc + kPlaneBlock <= nc1; nc += kPlaneBlock) {
-      body.template run<kPlaneBlock>(nc);
+      body(std::integral_constant<int64_t, kPlaneBlock>{}, nc);
     }
-    for (; nc < nc1; ++nc) body.template run<1>(nc);
+    for (; nc < nc1; ++nc) body(std::integral_constant<int64_t, 1>{}, nc);
   });
 }
+
+// AvgPool2d(2)'s 1 / (2·2), computed as AvgPool2d computes it.
+constexpr float kPoolScale = 1.0f / 4.0f;
 
 }  // namespace
 
@@ -154,12 +142,27 @@ Tensor InstanceNorm2d::forward(const Tensor& input) {
   if (inv_std_.numel() != N * channels_) inv_std_ = Tensor({N * channels_});
 
   Tensor out(input.shape());
-  const NormPlanes planes{input.data(), xhat_.data(), inv_std_.data(),
-                          out.data(),   gamma_.data(), beta_.data(),
-                          M,            channels_,     eps_};
+  const float* pi = input.data();
+  float* pxh = xhat_.data();
+  float* pinv = inv_std_.data();
+  float* po = out.data();
+  const float* pg = gamma_.data();
+  const float* pb = beta_.data();
   // Every (n, c) plane is normalized independently: disjoint writes, so the
   // batch-parallel split is bitwise deterministic.
-  for_each_plane_block(N * channels_, planes);
+  for_each_plane_block(N * channels_, [&](auto block, int64_t nc0) {
+    normalize_planes<decltype(block)::value>(
+        pi, nc0, M, eps_, pinv,
+        [&](int64_t nc, const float* x, float mu, float inv) {
+          float* xh = pxh + nc * M;
+          float* dst = po + nc * M;
+          const float g = pg[nc % channels_], bt = pb[nc % channels_];
+          for (int64_t i = 0; i < M; ++i) {
+            xh[i] = (x[i] - mu) * inv;
+            dst[i] = g * xh[i] + bt;
+          }
+        });
+  });
   return out;
 }
 
@@ -167,37 +170,44 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output, GradNeed need) {
   DECO_CHECK(!in_shape_.empty(), "InstanceNorm2d::backward without forward");
   DECO_CHECK(grad_output.shape() == in_shape_,
              "InstanceNorm2d::backward: grad shape mismatch");
-  const int64_t N = in_shape_[0], H = in_shape_[2], W = in_shape_[3];
-  const int64_t M = H * W;
+  const float* pdy = grad_output.data();
+  const int64_t M = in_shape_[2] * in_shape_[3];
+  return backward_planes(
+      need, [&](auto /*block*/, int64_t nc0, core::Workspace::Scope&) {
+        return pdy + nc0 * M;
+      });
+}
+
+template <typename DyOf>
+Tensor InstanceNorm2d::backward_planes(GradNeed need, const DyOf& dy_of) {
+  const int64_t M = in_shape_[2] * in_shape_[3];
   const bool want_input = need != GradNeed::kParams;
   const bool want_params = need != GradNeed::kInput;
-
   Tensor grad_input = want_input ? Tensor(in_shape_) : Tensor();
-  const float* pdy = grad_output.data();
-  const float* px = xhat_.data();
-  const float* ps = inv_std_.data();
-  const float* pg = gamma_.data();
-  float* pgg = gamma_grad_.data();
-  float* pbg = beta_grad_.data();
-  float* pdx = grad_input.data();
-
   // Phase 1 (parallel): per-plane sums and dx — all writes are plane-local.
   // Phase 2 (serial, ascending nc): fold the per-plane sums into the shared
   // γ/β gradients in the fixed serial order, keeping the reduction bitwise
   // identical for every thread count.
-  const int64_t planes = N * channels_;
+  const int64_t planes = in_shape_[0] * channels_;
   const size_t sums = want_params ? static_cast<size_t>(planes) : 0;
-  std::vector<double> plane_sum_dy(sums);
-  std::vector<double> plane_sum_dy_xh(sums);
-  double* sum_dy = want_params ? plane_sum_dy.data() : nullptr;
-  double* sum_dy_xh = want_params ? plane_sum_dy_xh.data() : nullptr;
-  const NormGradPlanes grads{pdy, px, ps, pg, pdx, sum_dy, sum_dy_xh,
-                             M, channels_, want_input};
-  for_each_plane_block(planes, grads);
+  std::vector<double> sum_dy(sums), sum_dy_xh(sums);
+  const NormGradPlanes grads{xhat_.data(),
+                             inv_std_.data(),
+                             gamma_.data(),
+                             grad_input.data(),
+                             want_params ? sum_dy.data() : nullptr,
+                             want_params ? sum_dy_xh.data() : nullptr,
+                             M,
+                             channels_,
+                             want_input};
+  for_each_plane_block(planes, [&](auto block, int64_t nc0) {
+    core::Workspace::Scope scratch;
+    grads.run<decltype(block)::value>(nc0, dy_of(block, nc0, scratch));
+  });
   for (size_t nc = 0; nc < sums; ++nc) {
     const int64_t c = static_cast<int64_t>(nc) % channels_;
-    pbg[c] += static_cast<float>(plane_sum_dy[nc]);
-    pgg[c] += static_cast<float>(plane_sum_dy_xh[nc]);
+    beta_grad_[c] += static_cast<float>(sum_dy[nc]);
+    gamma_grad_[c] += static_cast<float>(sum_dy_xh[nc]);
   }
   return grad_input;
 }
@@ -205,6 +215,102 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output, GradNeed need) {
 void InstanceNorm2d::collect_params(std::vector<ParamRef>& out) {
   out.push_back({"norm.gamma", &gamma_, &gamma_grad_});
   out.push_back({"norm.beta", &beta_, &beta_grad_});
+}
+
+// ---- NormReluPool ------------------------------------------------------------
+
+Tensor NormReluPool::forward(const Tensor& input) {
+  DECO_CHECK(input.ndim() == 4 && input.dim(1) == channels_,
+             "NormReluPool: expected NCHW with " + std::to_string(channels_) +
+                 " channels, got " + input.shape_str());
+  const int64_t N = input.dim(0), H = input.dim(2), W = input.dim(3);
+  DECO_CHECK(H > 0 && W > 0 && H % 2 == 0 && W % 2 == 0,
+             "NormReluPool: spatial dims " + input.shape_str() +
+                 " do not halve cleanly");
+  in_shape_ = input.shape();
+  const int64_t M = H * W, oh = H / 2, ow = W / 2;
+
+  if (!xhat_.same_shape(input)) xhat_ = Tensor(input.shape());
+  if (!mask_.same_shape(input)) mask_ = Tensor(input.shape());
+  if (inv_std_.numel() != N * channels_) inv_std_ = Tensor({N * channels_});
+
+  Tensor out({N, channels_, oh, ow});
+  const float* pi = input.data();
+  float* pxh = xhat_.data();
+  float* pm = mask_.data();
+  float* pinv = inv_std_.data();
+  float* po = out.data();
+  const float* pg = gamma_.data();
+  const float* pb = beta_.data();
+  // Per plane: InstanceNorm2d's x̂ and γ·x̂ + β, ReLU's mask and output (the
+  // output only in plane-sized scratch), then AvgPool2d(2)'s 0.0 + the four
+  // taps row by row, in double — each layer's own arithmetic.
+  for_each_plane_block(N * channels_, [&](auto block, int64_t nc0) {
+    core::Workspace::Scope scratch;
+    float* relu = scratch.alloc_floats(M);
+    normalize_planes<decltype(block)::value>(
+        pi, nc0, M, eps_, pinv,
+        [&](int64_t nc, const float* x, float mu, float inv) {
+          float* xh = pxh + nc * M;
+          float* mask = pm + nc * M;
+          const float g = pg[nc % channels_], bt = pb[nc % channels_];
+          for (int64_t i = 0; i < M; ++i) {
+            xh[i] = (x[i] - mu) * inv;
+            const float y = g * xh[i] + bt;
+            const bool pos = y > 0.0f;
+            mask[i] = pos ? 1.0f : 0.0f;
+            relu[i] = pos ? y : 0.0f;
+          }
+          float* dst = po + nc * oh * ow;
+          for (int64_t oy = 0; oy < oh; ++oy) {
+            const float* r0 = relu + 2 * oy * W;
+            const float* r1 = r0 + W;
+            float* d = dst + oy * ow;
+            for (int64_t ox = 0; ox < ow; ++ox) {
+              const double acc = 0.0 + r0[2 * ox] + r0[2 * ox + 1] +
+                                 r1[2 * ox] + r1[2 * ox + 1];
+              d[ox] = static_cast<float>(acc) * kPoolScale;
+            }
+          }
+        });
+  });
+  return out;
+}
+
+Tensor NormReluPool::backward(const Tensor& grad_output, GradNeed need) {
+  DECO_CHECK(!in_shape_.empty(), "NormReluPool::backward without forward");
+  const int64_t N = in_shape_[0], H = in_shape_[2], W = in_shape_[3];
+  const int64_t M = H * W, oh = H / 2, ow = W / 2;
+  DECO_CHECK(grad_output.shape() == std::vector<int64_t>({N, channels_, oh, ow}),
+             "NormReluPool::backward: grad " + grad_output.shape_str() +
+                 " does not match forward output");
+  const float* pg = grad_output.data();
+  const float* pm = mask_.data();
+  // Each block forms its planes' dy in scratch — AvgPool2d's zeroed gradient
+  // plus its share, times ReLU's mask — for InstanceNorm2d's sums and dx.
+  return backward_planes(need, [&](auto block, int64_t nc0,
+                                   core::Workspace::Scope& scratch) {
+    constexpr int64_t B = decltype(block)::value;
+    float* dy = scratch.alloc_floats(B * M);
+    for (int64_t b = 0; b < B; ++b) {
+      const int64_t nc = nc0 + b;
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        const float* s = pg + nc * oh * ow + oy * ow;
+        const float* m0 = pm + nc * M + 2 * oy * W;
+        const float* m1 = m0 + W;
+        float* d0 = dy + b * M + 2 * oy * W;
+        float* d1 = d0 + W;
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          const float g = 0.0f + s[ox] * kPoolScale;
+          d0[2 * ox] = g * m0[2 * ox];
+          d0[2 * ox + 1] = g * m0[2 * ox + 1];
+          d1[2 * ox] = g * m1[2 * ox];
+          d1[2 * ox + 1] = g * m1[2 * ox + 1];
+        }
+      }
+    }
+    return static_cast<const float*>(dy);
+  });
 }
 
 }  // namespace deco::nn

@@ -20,11 +20,11 @@
 // Both pack panels come from the calling thread's Workspace arena, so a
 // steady-state training loop runs this kernel with zero heap traffic.
 //
-// gemm_conv swaps only the B packer: it gathers each NR strip of the implicit
-// im2col matrix straight out of a zero-bordered input (pack_b_conv). The
-// packed bytes equal what pack_b writes from the materialized matrix, and
-// both entry points run the one compute loop (gemm_packed), so results are
-// identical.
+// gemm_conv and gemm_conv_nt swap only the B packer: they gather each NR
+// strip of the implicit im2col matrix (pack_b_conv), or of its transpose
+// (pack_b_conv_t), straight out of a zero-bordered input. The packed bytes
+// equal what pack_b writes from the materialized matrix, and every entry
+// point runs the one compute loop (gemm_packed), so results are identical.
 
 #include "deco/tensor/gemm.h"
 
@@ -168,6 +168,51 @@ void pack_b_conv(const ConvOperand& b, float* pack) {
   });
 }
 
+// Packs B strips of the transposed implicit im2col matrix of `b` (k = b.cols()
+// output pixels by n = b.rows() taps), the B operand of a conv's dW GEMM.
+// Element (kk, c) of strip s is tap j0 + c at pixel kk: exactly what pack_b
+// writes from the materialized matrix read transposed. Each packed row is
+// one pixel's gather of its taps, written contiguously. Work is split over
+// (strip, sample) pairs, so a first layer with one strip of taps still
+// spreads over the batch.
+void pack_b_conv_t(const ConvOperand& b, float* pack) {
+  const int64_t k = b.cols(), n = b.rows();
+  const int64_t plane = b.padded_h * b.padded_w;
+  const int64_t per_sample = b.out_h * b.out_w;
+  const int64_t strips = div_up(n, kNR);
+  core::parallel_for(0, strips * b.batch, strip_grain(per_sample * kNR),
+                     [&](int64_t u0, int64_t u1) {
+    int64_t tap[kNR];  // offset of tap (ch, ky, kx) from the pixel's origin
+    int64_t tap_strip = -1;  // the strip `tap` holds
+    for (int64_t u = u0; u < u1; ++u) {
+      const int64_t s = u / b.batch, sample = u % b.batch;
+      const int64_t j0 = s * kNR;
+      const int64_t cols = std::min<int64_t>(kNR, n - j0);
+      if (s != tap_strip) {
+        for (int64_t c = 0; c < cols; ++c) {
+          const int64_t j = j0 + c;
+          const int64_t kx = j % b.kernel_w;
+          const int64_t ky = (j / b.kernel_w) % b.kernel_h;
+          const int64_t ch = j / (b.kernel_w * b.kernel_h);
+          tap[c] = ch * plane + ky * b.padded_w + kx;
+        }
+        tap_strip = s;
+      }
+      const float* img = b.padded + sample * b.channels * plane;
+      float* d = pack + (s * k + sample * per_sample) * kNR;
+      for (int64_t oy = 0; oy < b.out_h; ++oy) {
+        const float* row = img + oy * b.stride * b.padded_w;
+        for (int64_t ox = 0; ox < b.out_w; ++ox, d += kNR) {
+          const float* src = row + ox * b.stride;
+          int64_t c = 0;
+          for (; c < cols; ++c) d[c] = src[tap[c]];
+          for (; c < kNR; ++c) d[c] = 0.0f;
+        }
+      }
+    }
+  });
+}
+
 // acc[r][c] += sum over kc of Apack(kk, r) * Bpack(kk, c). The fixed trip
 // counts let the compiler unroll r fully and keep the whole tile in vector
 // registers; k ascends, which is the accumulation order the determinism
@@ -271,6 +316,13 @@ void gemm_conv(int64_t m, const float* a, const ConvOperand& b, float* c,
   const int64_t k = b.rows();
   gemm_packed(m, b.cols(), k, a, k, 1,
               [&](float* packB) { pack_b_conv(b, packB); }, c, accumulate);
+}
+
+void gemm_conv_nt(int64_t m, const float* a, const ConvOperand& b, float* c,
+                  bool accumulate) {
+  const int64_t k = b.cols();
+  gemm_packed(m, b.rows(), k, a, k, 1,
+              [&](float* packB) { pack_b_conv_t(b, packB); }, c, accumulate);
 }
 
 }  // namespace deco::detail

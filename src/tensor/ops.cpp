@@ -41,13 +41,29 @@ TapRange valid_taps(int64_t offset, int64_t stride, int64_t out, int64_t extent)
   return {lo, hi};
 }
 
-void check_padded(const Tensor& padded, const Conv2dGeometry& g,
-                  const char* op) {
+// The implicit im2col matrix of `padded` (a pad_into() result) as a GEMM
+// operand, after checking `padded` against the geometry.
+detail::ConvOperand conv_operand(const Tensor& padded, const Conv2dGeometry& g,
+                                 const char* op) {
   DECO_CHECK(padded.ndim() == 4 && padded.dim(1) == g.in_channels &&
                  padded.dim(2) == g.in_h + 2 * g.padding &&
                  padded.dim(3) == g.in_w + 2 * g.padding,
              std::string(op) + ": padded input " + padded.shape_str() +
                  " disagrees with geometry");
+  DECO_CHECK(g.out_h() > 0 && g.out_w() > 0,
+             std::string(op) + ": kernel larger than the padded input");
+  detail::ConvOperand b;
+  b.padded = padded.data();
+  b.batch = padded.dim(0);
+  b.channels = g.in_channels;
+  b.padded_h = padded.dim(2);
+  b.padded_w = padded.dim(3);
+  b.kernel_h = g.kernel_h;
+  b.kernel_w = g.kernel_w;
+  b.stride = g.stride;
+  b.out_h = g.out_h();
+  b.out_w = g.out_w();
+  return b;
 }
 
 // Rows per parallel chunk, sized so a chunk carries ~64k scalar ops: small
@@ -289,61 +305,26 @@ void pad_into(const Tensor& input, const Conv2dGeometry& g, Tensor& padded) {
   });
 }
 
-void im2col_padded_into(const Tensor& padded, const Conv2dGeometry& g,
-                        Tensor& cols) {
-  check_padded(padded, g, "im2col_padded");
-  DECO_TRACE_SCOPE("tensor/im2col");
-  const int64_t N = padded.dim(0);
-  const int64_t Hp = padded.dim(2), Wp = padded.dim(3);
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t rows = g.col_rows();
-  const int64_t cols_per_sample = oh * ow;
-  const int64_t total_cols = N * cols_per_sample;
-  ensure_shape(cols, {rows, total_cols});
-  const float* pp = padded.data();
-  float* pc = cols.data();
-
-  // Same row ownership as im2col_into; the border stands in for the
-  // out-of-image taps, so each output row is a straight (strided) copy.
-  core::parallel_for(0, rows, row_grain(total_cols), [&](int64_t r0, int64_t r1) {
-    for (int64_t row = r0; row < r1; ++row) {
-      const int64_t kx = row % g.kernel_w;
-      const int64_t ky = (row / g.kernel_w) % g.kernel_h;
-      const int64_t c = row / (g.kernel_w * g.kernel_h);
-      float* dst = pc + row * total_cols;
-      for (int64_t n = 0; n < N; ++n) {
-        const float* tap = pp + (n * g.in_channels + c) * Hp * Wp + ky * Wp + kx;
-        for (int64_t oy = 0; oy < oh; ++oy, dst += ow) {
-          const float* src = tap + oy * g.stride * Wp;
-          for (int64_t ox = 0; ox < ow; ++ox) dst[ox] = src[ox * g.stride];
-        }
-      }
-    }
-  });
-}
-
 void conv_matmul_into(const Tensor& weight, const Tensor& padded,
                       const Conv2dGeometry& g, Tensor& out) {
-  check_padded(padded, g, "conv_matmul");
-  DECO_CHECK(weight.ndim() == 2 && weight.dim(1) == g.col_rows(),
+  const detail::ConvOperand b = conv_operand(padded, g, "conv_matmul");
+  DECO_CHECK(weight.ndim() == 2 && weight.dim(1) == b.rows(),
              "conv_matmul: weight " + weight.shape_str() +
                  " disagrees with geometry");
-  DECO_CHECK(g.out_h() > 0 && g.out_w() > 0,
-             "conv_matmul: kernel larger than the padded input");
-  detail::ConvOperand b;
-  b.padded = padded.data();
-  b.batch = padded.dim(0);
-  b.channels = g.in_channels;
-  b.padded_h = padded.dim(2);
-  b.padded_w = padded.dim(3);
-  b.kernel_h = g.kernel_h;
-  b.kernel_w = g.kernel_w;
-  b.stride = g.stride;
-  b.out_h = g.out_h();
-  b.out_w = g.out_w();
   ensure_shape(out, {weight.dim(0), b.cols()});
   detail::gemm_conv(weight.dim(0), weight.data(), b, out.data(),
                     /*accumulate=*/false);
+}
+
+void conv_matmul_nt_acc_into(const Tensor& grad, const Tensor& padded,
+                             const Conv2dGeometry& g, Tensor& out) {
+  const detail::ConvOperand b = conv_operand(padded, g, "conv_matmul_nt_acc");
+  DECO_CHECK(grad.ndim() == 2 && grad.dim(1) == b.cols(),
+             "conv_matmul_nt_acc: grad " + grad.shape_str() +
+                 " disagrees with geometry");
+  check_acc_shape(out, grad.dim(0), b.rows(), "conv_matmul_nt_acc");
+  detail::gemm_conv_nt(grad.dim(0), grad.data(), b, out.data(),
+                       /*accumulate=*/true);
 }
 
 void softmax_rows_into(const Tensor& logits, Tensor& probs) {

@@ -4,6 +4,7 @@
 
 #include <chrono>
 
+#include "deco/core/telemetry.h"
 #include "deco/data/world.h"
 #include "deco/tensor/check.h"
 #include "test_util.h"
@@ -222,6 +223,39 @@ TEST(CondenserTimingTest, DecoIsMuchFasterThanDc) {
   const double t_deco = time_it(deco);
   const double t_dc = time_it(dc);
   EXPECT_GT(t_dc, 2.0 * t_deco);  // conservative bound for CI noise
+}
+
+TEST(CondenserTimingTest, DecoDoesFarFewerGemmFlopsThanDc) {
+  // The same comparison as DecoIsMuchFasterThanDc, costed by the gemm/flops
+  // counter instead of the wall clock: the count is a function of the
+  // shapes alone, so a loaded host cannot move it.
+#if !DECO_TELEMETRY_COMPILED
+  GTEST_SKIP() << "telemetry compiled out (-DDECO_TELEMETRY=OFF)";
+#endif
+  namespace telem = core::telemetry;
+  const bool was_enabled = telem::enabled();
+  telem::set_enabled(true);
+  Fixture f;
+  auto flops_of = [&](Condenser& c) {
+    auto ctx = f.context();
+    const int64_t before = telem::snapshot().counter_value("gemm/flops");
+    c.condense(ctx);
+    return telem::snapshot().counter_value("gemm/flops") - before;
+  };
+  DecoCondenserConfig dcfg;
+  dcfg.iterations = 10;
+  dcfg.feature_discrimination = false;
+  DecoCondenser deco(small_config(), dcfg, 19);
+  BilevelConfig bcfg;
+  BilevelCondenser dc(small_config(), bcfg, 20);
+  const int64_t deco_flops = flops_of(deco);
+  const int64_t dc_flops = flops_of(dc);
+  telem::set_enabled(was_enabled);
+  // DC spends 5.4× DECO's flops here. The count does not vary between
+  // runs, so the bound can sit closer to it than the wall-clock test's 2×.
+  EXPECT_GT(deco_flops, 0);
+  EXPECT_GT(dc_flops, 4 * deco_flops)
+      << "deco " << deco_flops << " dc " << dc_flops;
 }
 
 TEST(CondenserValidationTest, MissingContextPiecesThrow) {

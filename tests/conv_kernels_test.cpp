@@ -2,10 +2,13 @@
 // compared byte for byte (memcmp) at 1 and 4 threads:
 //   * pad_into + conv_matmul_into (the GEMM packing its B panels straight
 //     from the padded input) against matmul_into(W, im2col_into(x)),
-//     im2col_padded_into against im2col_into, and col2im_into against the
-//     bounds-test-per-element loop kept below;
+//     conv_matmul_nt_acc_into (the dW GEMM, packing its transposed panels
+//     from the padded input) against matmul_nt_acc_into(dy, im2col_into(x)),
+//     and col2im_into against the bounds-test-per-element loop kept below;
 //   * InstanceNorm2d and AvgPool2d forward/backward against the one-plane
 //     loops kept below, with N·C not a multiple of the 8-plane block;
+//   * NormReluPool against InstanceNorm2d → ReLU → AvgPool2d(2), under every
+//     GradNeed;
 //   * Conv2d's dW after two forwards: it must come from the second input.
 #include <gtest/gtest.h>
 
@@ -106,12 +109,18 @@ void expect_conv_gemm_matches(int64_t batch, int64_t channels, int64_t h,
   im2col_into(x, g, cols);
   matmul_into(weight, cols, want);
 
-  Tensor padded, got, cols_from_padded;
+  Tensor padded, got;
   pad_into(x, g, padded);
   conv_matmul_into(weight, padded, g, got);
-  im2col_padded_into(padded, g, cols_from_padded);
   EXPECT_TRUE(same_bytes(got, want));
-  EXPECT_TRUE(same_bytes(cols_from_padded, cols));
+
+  // dW: both accumulate onto the same non-zero start.
+  const Tensor dy = random_tensor({out_channels, cols.dim(1)}, rng);
+  Tensor want_dw = random_tensor({out_channels, g.col_rows()}, rng);
+  Tensor got_dw = want_dw;
+  matmul_nt_acc_into(dy, cols, want_dw);
+  conv_matmul_nt_acc_into(dy, padded, g, got_dw);
+  EXPECT_TRUE(same_bytes(got_dw, want_dw));
 
   Tensor image({batch, channels, h, w});
   col2im_into(cols, g, image);
@@ -119,6 +128,8 @@ void expect_conv_gemm_matches(int64_t batch, int64_t channels, int64_t h,
 }
 
 TEST(ConvKernelsTest, GemmConvMatchesMatmulOverIm2col) {
+  // At kernel 3 the 3 channels give 27 taps: the dW GEMM's one B strip is
+  // partial.
   at_1_and_4_threads([] {
     bool saw_partial_strip = false;
     uint64_t seed = 300;
@@ -154,8 +165,10 @@ TEST(ConvKernelsTest, GemmConvMatchesAtWidthsDividingTheStrip) {
 }
 
 TEST(ConvKernelsTest, GemmConvMatchesAcrossBlockBoundaries) {
-  // k = 270 crosses the KC block, n = 570 the NC tile, m = 70 the MC tile,
-  // and a 19-wide output row straddles NR strips.
+  // Forward: k = 270 crosses the KC block, n = 570 the NC tile, m = 70 the
+  // MC tile, and a 19-wide output row straddles NR strips. dW: k = 570
+  // pixels crosses the KC block twice, and the 270 taps end in a partial
+  // NR strip.
   at_1_and_4_threads([] {
     expect_conv_gemm_matches(3, 30, 10, 19, 3, 1, 1, 70, 410);
   });
@@ -166,6 +179,8 @@ TEST(ConvKernelsTest, GemmConvRejectsKernelLargerThanPaddedInput) {
   Tensor padded, out;
   pad_into(Tensor({1, 1, 2, 2}), g, padded);
   EXPECT_THROW(conv_matmul_into(Tensor({1, 9}), padded, g, out), Error);
+  Tensor dw({1, 9});
+  EXPECT_THROW(conv_matmul_nt_acc_into(Tensor({1, 0}), padded, g, dw), Error);
 }
 
 // ---- InstanceNorm2d ----------------------------------------------------------
@@ -360,6 +375,134 @@ TEST(ConvKernelsTest, AvgPoolMatchesPerPlaneLoops) {
       });
     }
   }
+}
+
+// ---- NormReluPool -------------------------------------------------------------
+
+struct BlockInput {
+  Tensor x, dy, gamma, beta;  // dy is the gradient of the pooled output
+};
+
+// Planes whose fused backward sums depend on their order. In raster order
+// the 2×2 windows come in groups of eight, by x and pooled dy:
+//   +v, +D | +v, −D | −v, ε | −v, ε | ε, ε | ε, ε | m, ε | m, ε
+// with v, D in [1e8, 2e8], m = ±[1e5, 2e5] and every ε a fresh value near
+// 1e-3. The ReLU masks off the −v windows; γ > 0 and β = 0 keep the ±v
+// windows on their side of it. The masked Σdy and Σdy·x̂ then cancel their
+// large terms, with small terms (ε/4 in Σdy, ε/4 · x̂ of an m window in
+// Σdy·x̂) in between that a double running sum near 1e8 keeps only in part,
+// and what it keeps depends on the order of the adds.
+BlockInput cancelling_block_planes(const std::vector<int64_t>& shape,
+                                   Rng& rng) {
+  const int64_t C = shape[1], H = shape[2], W = shape[3];
+  const int64_t oh = H / 2, ow = W / 2;
+  BlockInput in{Tensor(shape), Tensor({shape[0], C, oh, ow}), Tensor({C}),
+                Tensor({C})};
+  for (int64_t c = 0; c < C; ++c) {
+    in.gamma[c] = static_cast<float>(rng.uniform(0.5, 1.5));
+  }
+  auto uniform = [&](double lo, double hi) {
+    return static_cast<float>(rng.uniform(lo, hi));
+  };
+  for (int64_t p = 0; p < shape[0] * C; ++p) {
+    float* xp = in.x.data() + p * H * W;
+    float* dp = in.dy.data() + p * oh * ow;
+    float v = 0.0f, D = 0.0f;
+    for (int64_t w = 0; w < oh * ow; ++w) {
+      const int64_t kind = w % 8;
+      if (kind == 0) {
+        v = uniform(1e8, 2e8);
+        D = uniform(1e8, 2e8);
+      }
+      dp[w] = kind == 0 ? D : kind == 1 ? -D : uniform(-2e-3, 2e-3);
+      const int64_t oy = w / ow, ox = w % ow;
+      for (int64_t i : {int64_t{0}, int64_t{1}, W, W + 1}) {
+        float x = kind < 2 ? v : kind < 4 ? -v : uniform(-2e-3, 2e-3);
+        if (kind >= 6) x = (x < 0.0f ? -1.0f : 1.0f) * uniform(1e5, 2e5);
+        xp[2 * oy * W + 2 * ox + i] = x;
+      }
+    }
+  }
+  return in;
+}
+
+TEST(ConvKernelsTest, NormReluPoolMatchesUnfusedLayers) {
+  std::vector<BlockInput> inputs;
+  Rng rng(800);
+  // 15 and 63 planes (8-plane blocks with a tail), H != W.
+  for (const auto& [batch, channels] : {std::pair<int64_t, int64_t>{3, 5},
+                                        std::pair<int64_t, int64_t>{7, 9}}) {
+    Tensor x = random_tensor({batch, channels, 6, 10}, rng, 3.0);
+    Tensor dy = random_tensor({batch, channels, 3, 5}, rng);
+    Tensor beta = random_tensor({channels}, rng);
+    // A channel whose every normalized output is negative: the ReLU masks
+    // its planes whole, so its dy is all zeros, some of them −0.
+    beta[1] = -100.0f;
+    // A plane whose pooled gradient is all −0: its dy must come out +0.
+    for (int64_t i = 0; i < 15; ++i) dy[2 * 15 + i] = -0.0f;
+    inputs.push_back({std::move(x), std::move(dy),
+                      random_tensor({channels}, rng), std::move(beta)});
+  }
+  inputs.push_back(cancelling_block_planes({3, 3, 16, 16}, rng));
+
+  for (const BlockInput& in : inputs) {
+    SCOPED_TRACE("input " + in.x.shape_str());
+    const int64_t C = in.x.dim(1);
+    // The reference: the three layers, backward under kAll, onto gradients
+    // that start non-zero.
+    nn::InstanceNorm2d norm(C);
+    nn::ReLU relu;
+    nn::AvgPool2d pool(2);
+    *param(norm, "norm.gamma").value = in.gamma;
+    *param(norm, "norm.beta").value = in.beta;
+    Rng grads(801);
+    const Tensor start_dgamma = random_tensor({C}, grads);
+    const Tensor start_dbeta = random_tensor({C}, grads);
+    *param(norm, "norm.gamma").grad = start_dgamma;
+    *param(norm, "norm.beta").grad = start_dbeta;
+    const Tensor want_y = pool.forward(relu.forward(norm.forward(in.x)));
+    const Tensor want_dx = norm.backward(relu.backward(pool.backward(in.dy)));
+    const Tensor want_dgamma = *param(norm, "norm.gamma").grad;
+    const Tensor want_dbeta = *param(norm, "norm.beta").grad;
+
+    at_1_and_4_threads([&] {
+      for (nn::GradNeed need : {nn::GradNeed::kAll, nn::GradNeed::kInput,
+                                nn::GradNeed::kParams}) {
+        SCOPED_TRACE("need=" + std::to_string(static_cast<int>(need)));
+        nn::NormReluPool block(C);
+        std::vector<std::string> names;
+        for (const nn::ParamRef& p : block.parameters()) names.push_back(p.name);
+        EXPECT_EQ(names, (std::vector<std::string>{"norm.gamma", "norm.beta"}));
+        *param(block, "norm.gamma").value = in.gamma;
+        *param(block, "norm.beta").value = in.beta;
+        *param(block, "norm.gamma").grad = start_dgamma;
+        *param(block, "norm.beta").grad = start_dbeta;
+        EXPECT_TRUE(same_bytes(block.forward(in.x), want_y));
+        const Tensor dx = block.backward(in.dy, need);
+        if (need == nn::GradNeed::kParams) {
+          EXPECT_EQ(dx.numel(), 0);
+        } else {
+          EXPECT_TRUE(same_bytes(dx, want_dx));
+        }
+        const bool params = need != nn::GradNeed::kInput;
+        EXPECT_TRUE(same_bytes(*param(block, "norm.gamma").grad,
+                               params ? want_dgamma : start_dgamma));
+        EXPECT_TRUE(same_bytes(*param(block, "norm.beta").grad,
+                               params ? want_dbeta : start_dbeta));
+      }
+    });
+  }
+}
+
+TEST(ConvKernelsTest, NormReluPoolRejectsMismatchedShapes) {
+  nn::NormReluPool block(2);
+  EXPECT_THROW(block.forward(Tensor({1, 3, 4, 4})), Error);
+  EXPECT_THROW(block.forward(Tensor({1, 2, 3, 4})), Error);
+  EXPECT_THROW(block.backward(Tensor({1, 2, 2, 2})), Error);
+  block.forward(Tensor({3, 2, 4, 6}));
+  EXPECT_THROW(block.backward(Tensor({1, 2, 2, 3})), Error);
+  EXPECT_THROW(block.backward(Tensor({3, 2, 4, 6})), Error);
+  EXPECT_NO_THROW(block.backward(Tensor({3, 2, 2, 3})));
 }
 
 // ---- Conv2d ------------------------------------------------------------------

@@ -98,6 +98,14 @@ std::vector<Case> cases() {
          return m;
        },
        {3, 4, 5, 5}},
+      {"NormReluPool",
+       [] {
+         auto m = std::make_unique<NormReluPool>(4);
+         Rng rng(15);
+         for (ParamRef& p : m->parameters()) rng.fill_normal(*p.value, 1.0, 0.5);
+         return m;
+       },
+       {3, 4, 6, 8}},
       {"ConvNet",
        [] {
          Rng rng(14);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 
 #include "deco/tensor/check.h"
@@ -155,6 +158,28 @@ TEST(ReluTest, BackwardMasksGradient) {
   EXPECT_EQ(gi[1], 20.0f);
   EXPECT_EQ(gi[2], 30.0f);
   EXPECT_EQ(gi[3], 0.0f);
+}
+
+TEST(ReluTest, ForwardMapsNanAndNegativeZeroToPositiveZero) {
+  ReLU relu;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x({1, 5}, {nan, -0.0f, 0.0f, -2.0f, 3.0f});
+  const Tensor y = relu.forward(x);
+  const Tensor want({1, 5}, {0.0f, 0.0f, 0.0f, 0.0f, 3.0f});
+  EXPECT_EQ(std::memcmp(y.data(), want.data(), 5 * sizeof(float)), 0);
+  // The input is left as it was.
+  EXPECT_TRUE(std::isnan(x[0]));
+  EXPECT_TRUE(std::signbit(x[1]));
+}
+
+TEST(ReluTest, BackwardRejectsMismatchedShape) {
+  // Only the element count used to be checked.
+  ReLU relu;
+  relu.forward(Tensor({2, 3, 4, 4}));
+  EXPECT_THROW(relu.backward(Tensor({3, 2, 4, 4})), Error);
+  EXPECT_THROW(relu.backward(Tensor({2, 48})), Error);
+  EXPECT_THROW(relu.backward(Tensor({2, 3, 4, 5})), Error);
+  EXPECT_NO_THROW(relu.backward(Tensor({2, 3, 4, 4})));
 }
 
 TEST(AvgPoolTest, ForwardAverages) {

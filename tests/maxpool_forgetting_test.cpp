@@ -37,6 +37,17 @@ TEST(MaxPoolTest, BackwardRoutesToArgmaxOnly) {
   EXPECT_FLOAT_EQ(gi[3], 0.0f);
 }
 
+TEST(MaxPoolTest, BackwardRejectsMismatchedShape) {
+  // Only the element count used to be checked.
+  nn::MaxPool2d pool(2);
+  pool.forward(Tensor({3, 2, 4, 4}));
+  EXPECT_THROW(pool.backward(Tensor({2, 3, 2, 2})), Error);
+  EXPECT_THROW(pool.backward(Tensor({3, 2, 1, 4})), Error);
+  EXPECT_THROW(pool.backward(Tensor({3, 8, 1, 1})), Error);
+  EXPECT_THROW(pool.backward(Tensor({1, 2, 2, 2})), Error);
+  EXPECT_NO_THROW(pool.backward(Tensor({3, 2, 2, 2})));
+}
+
 TEST(MaxPoolTest, GradCheck) {
   Rng rng(1);
   nn::MaxPool2d pool(2);
