@@ -27,7 +27,9 @@
 //   * BENCH_kernels.json — the GEMM shape sweep: square 64/192/512 plus the
 //     conv-shaped skinny GEMMs the paper-config ConvNet issues, packed vs
 //     naive, ms and GFLOP/s, single-threaded so runs compare across PRs;
-//   * BENCH_telemetry.json — the measured telemetry overhead plus the full
+//   * BENCH_telemetry.json — the measured telemetry overhead, the memory one
+//     steady-state learner step holds (workspace high water and tensor-pool
+//     bytes; informational, for diffing across changes) plus the full
 //     aggregate telemetry snapshot.
 #include <algorithm>
 #include <chrono>
@@ -44,6 +46,7 @@
 #include "deco/core/workspace.h"
 #include "deco/data/world.h"
 #include "deco/nn/convnet.h"
+#include "deco/tensor/buffer_pool.h"
 #include "deco/tensor/ops.h"
 #include "deco/tensor/rng.h"
 
@@ -176,7 +179,15 @@ bool check_gemm_sweep() {
   return ok;
 }
 
-bool check_learner_steady_state_allocations() {
+// What one steady-state learner step holds, read on the gate's thread.
+struct StepMemory {
+  int64_t workspace_high_water_bytes = 0;  // peak arena bytes in one step
+  int64_t workspace_reserved_bytes = 0;    // arena capacity
+  int64_t tensor_heap_bytes = 0;    // bytes the tensor pool took from the heap
+  int64_t tensor_pool_cached_bytes = 0;  // of those, idle in the pool
+};
+
+bool check_learner_steady_state_allocations(StepMemory& mem) {
   data::DatasetSpec spec = data::icub1_spec();
   spec.num_classes = 4;
   data::ProceduralImageWorld world(spec, 7);
@@ -215,7 +226,10 @@ bool check_learner_steady_state_allocations() {
   core::MemStatsSnapshot base;
   for (int step = 0; step < 20; ++step) {
     learner.observe_segment(images);
-    if (step == 11) base = core::memstats_this_thread();
+    if (step == 11) {
+      base = core::memstats_this_thread();
+      core::Workspace::tls().reset_high_water();
+    }
   }
   const core::MemStatsSnapshot diff = core::memstats_this_thread() - base;
 
@@ -228,9 +242,15 @@ bool check_learner_steady_state_allocations() {
             << " workspace blocks (pool hits " << diff.tensor_pool_hits
             << ") -> " << (ok ? "OK" : "FAIL") << "\n";
   const core::WorkspaceStats ws = core::Workspace::aggregate();
+  mem.workspace_high_water_bytes = ws.high_water_bytes;
+  mem.workspace_reserved_bytes = ws.bytes_reserved;
+  mem.tensor_heap_bytes = core::memstats_this_thread().tensor_heap_bytes;
+  mem.tensor_pool_cached_bytes = detail::tensor_pool_cached_bytes();
   std::cout << "[learner_alloc] workspace: " << ws.arenas << " arena(s), "
-            << ws.bytes_reserved << " bytes reserved, high water "
-            << ws.high_water_bytes << " bytes\n";
+            << ws.bytes_reserved << " bytes reserved, steady-state high water "
+            << ws.high_water_bytes << " bytes; tensor pool: "
+            << mem.tensor_heap_bytes << " bytes from the heap, "
+            << mem.tensor_pool_cached_bytes << " idle\n";
   if (!ok)
     std::cout << "  steady-state learner steps hit the heap; a hot-path "
                  "buffer stopped being reused\n";
@@ -289,13 +309,21 @@ int main() {
   core::telemetry::set_enabled(true);
   int failures = 0;
   double overhead_pct = 0.0;
+  StepMemory mem;
+  // The learner runs first, so its tensor-pool bytes are its own and not
+  // buffers left over from the GEMM sweep.
+  if (!check_learner_steady_state_allocations(mem)) ++failures;
   if (!check_gemm_sweep()) ++failures;
   if (!check_telemetry_overhead(overhead_pct)) ++failures;
-  if (!check_learner_steady_state_allocations()) ++failures;
 
   std::ofstream js("BENCH_telemetry.json");
   js << "{\n  \"telemetry_overhead_pct\": " << overhead_pct
-     << ",\n  \"aggregate\": "
+     << ",\n  \"learner_step_memory\": {\"workspace_high_water_bytes\": "
+     << mem.workspace_high_water_bytes
+     << ", \"workspace_reserved_bytes\": " << mem.workspace_reserved_bytes
+     << ", \"tensor_heap_bytes\": " << mem.tensor_heap_bytes
+     << ", \"tensor_pool_cached_bytes\": " << mem.tensor_pool_cached_bytes
+     << "},\n  \"aggregate\": "
      << core::telemetry::aggregate_json(core::telemetry::snapshot())
      << "\n}\n";
   if (js.good())

@@ -22,6 +22,21 @@
 // orders of magnitude smaller, and immaterial to allocator pressure.
 #pragma once
 
+// DECO_WORKSPACE_ASAN is 1 when AddressSanitizer instruments this build.
+// The arena then poisons every float it has not handed out, so a kernel
+// that writes past its scratch allocation is reported like a heap overrun.
+// Other builds compile none of it.
+#if defined(__SANITIZE_ADDRESS__)
+#define DECO_WORKSPACE_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DECO_WORKSPACE_ASAN 1
+#endif
+#endif
+#ifndef DECO_WORKSPACE_ASAN
+#define DECO_WORKSPACE_ASAN 0
+#endif
+
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -111,6 +126,11 @@ class Workspace {
   int64_t bytes_reserved() const { return bytes_reserved_.load(std::memory_order_relaxed); }
   int64_t bytes_in_use() const { return in_use_ * static_cast<int64_t>(sizeof(float)); }
   int64_t high_water_bytes() const { return high_water_.load(std::memory_order_relaxed); }
+  /// Restarts this arena's high-water mark from the bytes in use now, so a
+  /// caller can measure the peak of one phase (e.g. a steady-state step).
+  void reset_high_water() {
+    high_water_.store(bytes_in_use(), std::memory_order_relaxed);
+  }
 
   /// Aggregated over every live thread arena.
   static WorkspaceStats aggregate();

@@ -17,10 +17,13 @@
 namespace deco::nn {
 
 /// 2-D convolution via pad + packed implicit im2col: the input is copied
-/// once into a zero-bordered buffer, and both the forward GEMM and the dW
-/// GEMM pack their panels straight from it. Only the dX GEMM writes a column
-/// matrix, which col2im folds back. Weight layout: [out_ch, in_ch*kh*kw],
-/// bias: [out_ch].
+/// once into a zero-bordered buffer, `padded_`, the only thing the layer
+/// holds between forward and backward. The forward GEMM packs its panels
+/// from it and writes the NCHW output (bias included) directly; the dW GEMM
+/// reads dy in place and packs from `padded_`; the dX GEMM reads dy in place
+/// and drains its product through col2im one L2-sized tile at a time. No
+/// column matrix, GEMM-layout output or permuted dy is ever built. Weight
+/// layout: [out_ch, in_ch*kh*kw], bias: [out_ch].
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel, int64_t stride,
@@ -48,10 +51,7 @@ class Conv2d : public Module {
   Tensor bias_grad_;
 
   Conv2dGeometry geom_;  // of the last forward
-  Tensor padded_;        // last input with its zero border
-  Tensor out_mat_;       // GEMM output scratch
-  Tensor grad_out_mat_;  // backward scratch
-  Tensor grad_cols_;     // backward scratch
+  Tensor padded_;        // last input with its zero border: the only scratch
   int64_t last_batch_ = 0;
 };
 

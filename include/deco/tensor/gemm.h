@@ -1,11 +1,14 @@
-// Cache-blocked, register-tiled GEMM shared by the matmul_* kernels.
+// Cache-blocked, register-tiled GEMM shared by the matmul_* and conv kernels.
 //
 // One strided entry point covers all three public variants (NN, Tᵀ·N, N·Bᵀ):
 // the operands are described by row/column strides, the kernel packs them
 // into contiguous aligned panels, and a fixed microkernel does the flops.
-// Two more entry points, gemm_conv and gemm_conv_nt, run the same kernel for
-// a convolution's forward and weight-gradient products: they pack B straight
-// from a zero-bordered input instead of an im2col matrix.
+// Three more entry points run the same compute loop for a convolution:
+// gemm_conv (forward, B gathered from a zero-bordered input, output written
+// straight into NCHW with the bias), gemm_conv_nt (dW, dy read in NCHW) and
+// gemm_conv_dx (dX, the product drained through col2im one L2-sized tile at
+// a time). None of them materializes an im2col matrix, a permuted dy or a
+// column-gradient matrix, and B is packed one KC×NR micro-panel at a time.
 // See src/tensor/gemm.cpp for the blocking scheme and the determinism
 // argument, and docs/EXTENDING.md for how to tune the block sizes.
 #pragma once
@@ -28,15 +31,18 @@ void gemm_strided(int64_t m, int64_t n, int64_t k,
 
 /// The B operand of a convolution GEMM, read in place from an input that
 /// already carries its zero border: `padded` is [batch, channels,
-/// padded_h, padded_w], contiguous. Row (ch, ky, kx) and column
-/// (n, oy, ox) of B is padded[n][ch][oy*stride + ky][ox*stride + kx] —
-/// the im2col matrix of the unpadded input, never materialized.
+/// padded_h, padded_w], contiguous, with padded_h = in_h + 2*padding (and
+/// likewise the width). Row (ch, ky, kx) and column (n, oy, ox) of B is
+/// padded[n][ch][oy*stride + ky][ox*stride + kx] — the im2col matrix of the
+/// unpadded input, never materialized. gemm_conv_dx reads only the
+/// geometry, never `padded`.
 struct ConvOperand {
   const float* padded = nullptr;
   int64_t batch = 0;
   int64_t channels = 0;
   int64_t padded_h = 0;
   int64_t padded_w = 0;
+  int64_t padding = 0;
   int64_t kernel_h = 0;
   int64_t kernel_w = 0;
   int64_t stride = 1;
@@ -47,20 +53,31 @@ struct ConvOperand {
   int64_t cols() const { return batch * out_h * out_w; }
 };
 
-/// C (row-major, m×b.cols()) = A·B with A row-major m×b.rows() and B the
-/// implicit im2col matrix described by `b`. Packs exactly the bytes
-/// gemm_strided would pack from the materialized matrix and shares its
-/// compute loop, so the result is bitwise identical to
-/// gemm_strided(m, n, k, a, k, 1, im2col, n, 1, c, accumulate).
-void gemm_conv(int64_t m, const float* a, const ConvOperand& b, float* c,
-               bool accumulate);
+/// out [batch, m, out_h, out_w] (NCHW) = A·B + bias, with A row-major
+/// m×b.rows(), B the implicit im2col matrix described by `b` and bias[m].
+/// The product's tiles are written straight into the NCHW planes, and the
+/// bias is added after the last k block as its own rounding, so `out` is
+/// bitwise equal to gemm_strided(m, n, k, a, k, 1, im2col, n, 1, c, false)
+/// permuted to NCHW and then given c[i][j] + bias[i].
+void gemm_conv(int64_t m, const float* a, const float* bias,
+               const ConvOperand& b, float* out);
 
-/// C (row-major, m×b.rows()) = A·Bᵀ with A row-major m×b.cols() and B the
-/// implicit im2col matrix described by `b` — a convolution's weight
-/// gradient. Bitwise identical to
-/// gemm_strided(m, b.rows(), b.cols(), a, b.cols(), 1, im2col, 1, b.cols(),
-/// c, accumulate).
-void gemm_conv_nt(int64_t m, const float* a, const ConvOperand& b, float* c,
-                  bool accumulate);
+/// C (row-major, m×b.rows()) += dy·Bᵀ with dy [batch, m, out_h, out_w]
+/// (NCHW, read in place as the m×b.cols() matrix of the forward output) and
+/// B the implicit im2col matrix described by `b` — a convolution's weight
+/// gradient. Bitwise identical to gemm_strided(m, b.rows(), b.cols(),
+/// dy_mat, b.cols(), 1, im2col, 1, b.cols(), c, true), where dy_mat is dy
+/// permuted to [m, batch·out_h·out_w].
+void gemm_conv_nt(int64_t m, const float* dy, const ConvOperand& b, float* c);
+
+/// dx [batch, channels, in_h, in_w] = col2im(Wᵀ·dy) with W row-major
+/// m×b.rows() and dy [batch, m, out_h, out_w] (NCHW, read in place) — a
+/// convolution's input gradient. The product runs per block of 8 input
+/// channels × about 256 columns into a Workspace tile, which col2im then
+/// drains into the block's whole dx planes, so no column-gradient matrix
+/// exists. Bitwise identical to gemm_strided(b.rows(), b.cols(), m, w, 1,
+/// b.rows(), dy_mat, b.cols(), 1, cols, false) followed by col2im_into.
+void gemm_conv_dx(int64_t m, const float* w, const float* dy,
+                  const ConvOperand& b, float* dx);
 
 }  // namespace deco::detail

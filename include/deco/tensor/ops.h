@@ -60,29 +60,42 @@ struct Conv2dGeometry {
   int64_t col_rows() const { return in_channels * kernel_h * kernel_w; }
 };
 
-/// Expands NCHW `input` [N,C,H,W] to columns [C*kh*kw, N*OH*OW].
+/// Expands NCHW `input` [N,C,H,W] to columns [C*kh*kw, N*OH*OW]. A test
+/// reference: the convolution kernels below never build this matrix.
 void im2col_into(const Tensor& input, const Conv2dGeometry& g, Tensor& cols);
 /// Accumulates columns back into an NCHW gradient image (the adjoint of
 /// im2col). `grad_input` must already have shape [N,C,H,W]; it is zeroed.
+/// A test reference with a bounds test per element, summing each pixel's
+/// taps in (ky, kx) order — the order conv_input_grad_into keeps.
 void col2im_into(const Tensor& cols, const Conv2dGeometry& g, Tensor& grad_input);
 
 /// Copies NCHW `input` into `padded` [N, C, H+2p, W+2p] (p = g.padding)
 /// with a zero border. Every tap of the convolution then lands inside
-/// `padded`, so the two GEMMs below never bounds-check.
+/// `padded`, so the GEMMs below never bounds-check.
 void pad_into(const Tensor& input, const Conv2dGeometry& g, Tensor& padded);
-/// out [out_ch, N*OH*OW] = weight [out_ch, C*kh*kw] x im2col(input), where
-/// `padded` is pad_into(input). The GEMM packs its B panels straight from
-/// `padded` (detail::gemm_conv), so no column matrix is built; the result is
-/// bitwise equal to matmul_into(weight, im2col_into(input)).
-void conv_matmul_into(const Tensor& weight, const Tensor& padded,
-                      const Conv2dGeometry& g, Tensor& out);
-/// out [out_ch, C*kh*kw] += grad [out_ch, N*OH*OW] x im2col(input)^T — a
-/// convolution's weight gradient, with `padded` = pad_into(input). The GEMM
-/// packs the transposed panels straight from `padded`
-/// (detail::gemm_conv_nt); the result is bitwise equal to
-/// matmul_nt_acc_into(grad, im2col_into(input), out).
-void conv_matmul_nt_acc_into(const Tensor& grad, const Tensor& padded,
-                             const Conv2dGeometry& g, Tensor& out);
+/// out [N, out_ch, OH, OW] = conv(input) + bias, with weight [out_ch,
+/// C*kh*kw], bias [out_ch] and `padded` = pad_into(input). The GEMM packs
+/// its B panels straight from `padded` and writes its tiles straight into
+/// the NCHW output (detail::gemm_conv); the result is bitwise equal to
+/// matmul_into(weight, im2col_into(input)) permuted to NCHW, then + bias.
+void conv_forward_into(const Tensor& weight, const Tensor& bias,
+                       const Tensor& padded, const Conv2dGeometry& g,
+                       Tensor& out);
+/// dw [out_ch, C*kh*kw] += grad x im2col(input)^T — a convolution's weight
+/// gradient, with grad [N, out_ch, OH, OW] read in place and `padded` =
+/// pad_into(input) (detail::gemm_conv_nt). Bitwise equal to
+/// matmul_nt_acc_into(grad permuted to [out_ch, N*OH*OW], im2col_into(input),
+/// dw).
+void conv_weight_grad_acc_into(const Tensor& grad, const Tensor& padded,
+                               const Conv2dGeometry& g, Tensor& dw);
+/// grad_input [N, C, H, W] = col2im(weight^T x grad) — a convolution's input
+/// gradient, with grad [N, out_ch, OH, OW] read in place. The product is
+/// drained into grad_input one L2-sized tile at a time
+/// (detail::gemm_conv_dx); the result is bitwise equal to
+/// matmul_tn_into(weight, grad permuted to [out_ch, N*OH*OW]) followed by
+/// col2im_into. Resizes `grad_input` if needed.
+void conv_input_grad_into(const Tensor& weight, const Tensor& grad,
+                          const Conv2dGeometry& g, Tensor& grad_input);
 
 // ---- row-wise softmax family --------------------------------------------------
 

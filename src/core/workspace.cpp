@@ -6,6 +6,10 @@
 
 #include "deco/tensor/check.h"
 
+#if DECO_WORKSPACE_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace deco::core {
 
 namespace {
@@ -41,6 +45,25 @@ constexpr int64_t kAlignBytes = 64;
 constexpr int64_t kAlignFloats = kAlignBytes / static_cast<int64_t>(sizeof(float));
 
 int64_t round_up(int64_t n, int64_t mult) { return (n + mult - 1) / mult * mult; }
+
+// Marks `n` floats at `p` unusable (poison) or usable (unpoison) for ASan.
+// Only the floats an allocation asked for are unpoisoned, not its alignment
+// padding, so a write one float past the end is caught too.
+void poison(const float* p, int64_t n) {
+#if DECO_WORKSPACE_ASAN
+  ASAN_POISON_MEMORY_REGION(p, static_cast<size_t>(n) * sizeof(float));
+#else
+  (void)p, (void)n;
+#endif
+}
+
+void unpoison(const float* p, int64_t n) {
+#if DECO_WORKSPACE_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(p, static_cast<size_t>(n) * sizeof(float));
+#else
+  (void)p, (void)n;
+#endif
+}
 
 }  // namespace
 
@@ -96,8 +119,10 @@ Workspace::~Workspace() {
     auto& r = registry();
     r.erase(std::remove(r.begin(), r.end(), this), r.end());
   }
-  for (Block& b : blocks_)
+  for (Block& b : blocks_) {
+    unpoison(b.data, b.cap);
     ::operator delete(b.data, std::align_val_t(kAlignBytes));
+  }
 }
 
 Workspace& Workspace::tls() {
@@ -114,8 +139,15 @@ Workspace::Scope::Marker Workspace::mark() const {
 }
 
 void Workspace::release(const Scope::Marker& m) {
-  for (size_t b = m.block + 1; b < blocks_.size(); ++b) blocks_[b].used = 0;
-  if (!blocks_.empty()) blocks_[m.block].used = m.offset;
+  for (size_t b = m.block + 1; b < blocks_.size(); ++b) {
+    poison(blocks_[b].data, blocks_[b].used);
+    blocks_[b].used = 0;
+  }
+  if (!blocks_.empty()) {
+    Block& b = blocks_[m.block];
+    poison(b.data + m.offset, b.used - m.offset);
+    b.used = m.offset;
+  }
   cur_ = m.block;
   in_use_ = m.in_use;
 }
@@ -137,6 +169,7 @@ float* Workspace::alloc(int64_t n) {
       b.data = static_cast<float*>(::operator new(
           static_cast<size_t>(cap) * sizeof(float), std::align_val_t(kAlignBytes)));
       b.cap = cap;
+      poison(b.data, cap);
       blocks_.push_back(b);
       next = blocks_.size() - 1;
       bytes_reserved_.fetch_add(cap * static_cast<int64_t>(sizeof(float)),
@@ -148,6 +181,7 @@ float* Workspace::alloc(int64_t n) {
 
   Block& b = blocks_[cur_];
   float* p = b.data + b.used;
+  unpoison(p, n);
   b.used += want;
   in_use_ += want;
   const int64_t in_use_bytes = in_use_ * static_cast<int64_t>(sizeof(float));

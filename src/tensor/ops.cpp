@@ -27,18 +27,24 @@ void check_acc_shape(const Tensor& out, int64_t m, int64_t n, const char* op) {
                  " does not match result");
 }
 
-// Output positions o in [lo, hi) whose tap o*stride + offset lands inside
-// [0, extent).
-struct TapRange {
-  int64_t lo, hi;
-};
-TapRange valid_taps(int64_t offset, int64_t stride, int64_t out, int64_t extent) {
-  const int64_t lo = offset >= 0 ? 0 : (-offset + stride - 1) / stride;
-  const int64_t hi =
-      extent - 1 - offset < 0
-          ? 0
-          : std::min<int64_t>(out, (extent - 1 - offset) / stride + 1);
-  return {lo, hi};
+// The geometry of a convolution over `batch` samples as a GEMM operand,
+// with no input attached.
+detail::ConvOperand conv_operand(const Conv2dGeometry& g, int64_t batch,
+                                 const char* op) {
+  DECO_CHECK(g.out_h() > 0 && g.out_w() > 0,
+             std::string(op) + ": kernel larger than the padded input");
+  detail::ConvOperand b;
+  b.batch = batch;
+  b.channels = g.in_channels;
+  b.padded_h = g.in_h + 2 * g.padding;
+  b.padded_w = g.in_w + 2 * g.padding;
+  b.padding = g.padding;
+  b.kernel_h = g.kernel_h;
+  b.kernel_w = g.kernel_w;
+  b.stride = g.stride;
+  b.out_h = g.out_h();
+  b.out_w = g.out_w();
+  return b;
 }
 
 // The implicit im2col matrix of `padded` (a pad_into() result) as a GEMM
@@ -50,20 +56,19 @@ detail::ConvOperand conv_operand(const Tensor& padded, const Conv2dGeometry& g,
                  padded.dim(3) == g.in_w + 2 * g.padding,
              std::string(op) + ": padded input " + padded.shape_str() +
                  " disagrees with geometry");
-  DECO_CHECK(g.out_h() > 0 && g.out_w() > 0,
-             std::string(op) + ": kernel larger than the padded input");
-  detail::ConvOperand b;
+  detail::ConvOperand b = conv_operand(g, padded.dim(0), op);
   b.padded = padded.data();
-  b.batch = padded.dim(0);
-  b.channels = g.in_channels;
-  b.padded_h = padded.dim(2);
-  b.padded_w = padded.dim(3);
-  b.kernel_h = g.kernel_h;
-  b.kernel_w = g.kernel_w;
-  b.stride = g.stride;
-  b.out_h = g.out_h();
-  b.out_w = g.out_w();
   return b;
+}
+
+// Checks that `grad` is the NCHW gradient of a convolution's output.
+void check_conv_grad(const Tensor& grad, const detail::ConvOperand& b,
+                     int64_t out_channels, const char* op) {
+  DECO_CHECK(grad.ndim() == 4 && grad.dim(0) == b.batch &&
+                 grad.dim(1) == out_channels && grad.dim(2) == b.out_h &&
+                 grad.dim(3) == b.out_w,
+             std::string(op) + ": grad " + grad.shape_str() +
+                 " disagrees with geometry");
 }
 
 // Rows per parallel chunk, sized so a chunk carries ~64k scalar ops: small
@@ -225,55 +230,30 @@ void col2im_into(const Tensor& cols, const Conv2dGeometry& g, Tensor& grad_input
                  grad_input.dim(3) == g.in_w,
              "col2im: grad_input disagrees with geometry");
   const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t cols_per_sample = oh * ow;
-  const int64_t total_cols = N * cols_per_sample;
+  const int64_t total_cols = N * oh * ow;
   DECO_CHECK(cols.ndim() == 2 && cols.dim(0) == g.col_rows() &&
                  cols.dim(1) == total_cols,
              "col2im: cols shape " + cols.shape_str() + " disagrees with geometry");
-  DECO_TRACE_SCOPE("tensor/col2im");
   grad_input.zero();
-  const float* pc = cols.data();
-  float* pi = grad_input.data();
-
-  // Kernel taps of one channel overlap in the gradient image, so the split
-  // is over disjoint (c, n) planes instead; within a plane the taps run in
-  // the serial (ky, kx) order, keeping each pixel's accumulation order — and
-  // therefore the float result — identical for every thread count. Each
-  // tap's in-image (oy, ox) range is computed up front, so the inner loop is
-  // a plain (at stride 1, contiguous) add with no per-element test.
-  const int64_t plane_work = g.kernel_h * g.kernel_w * cols_per_sample;
-  core::parallel_for(
-      0, g.in_channels * N, row_grain(plane_work),
-      [&](int64_t p0, int64_t p1) {
-        for (int64_t p = p0; p < p1; ++p) {
-          const int64_t c = p / N;
-          const int64_t n = p % N;
-          float* img = pi + (n * g.in_channels + c) * g.in_h * g.in_w;
-          for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
-            const TapRange ys =
-                valid_taps(ky - g.padding, g.stride, oh, g.in_h);
-            for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-              const TapRange xs =
-                  valid_taps(kx - g.padding, g.stride, ow, g.in_w);
-              if (xs.lo >= xs.hi) continue;
-              const int64_t row = (c * g.kernel_h + ky) * g.kernel_w + kx;
-              const float* src =
-                  pc + row * total_cols + n * cols_per_sample + xs.lo;
-              const int64_t len = xs.hi - xs.lo;
-              for (int64_t oy = ys.lo; oy < ys.hi; ++oy) {
-                float* dst = img + (oy * g.stride + ky - g.padding) * g.in_w +
-                             xs.lo * g.stride + kx - g.padding;
-                const float* s = src + oy * ow;
-                if (g.stride == 1) {
-                  for (int64_t i = 0; i < len; ++i) dst[i] += s[i];
-                } else {
-                  for (int64_t i = 0; i < len; ++i) dst[i * g.stride] += s[i];
-                }
-              }
+  for (int64_t c = 0; c < g.in_channels; ++c) {
+    for (int64_t n = 0; n < N; ++n) {
+      float* img = grad_input.data() + (n * g.in_channels + c) * g.in_h * g.in_w;
+      for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+        for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
+          const int64_t row = (c * g.kernel_h + ky) * g.kernel_w + kx;
+          const float* src = cols.data() + row * total_cols + n * oh * ow;
+          for (int64_t oy = 0; oy < oh; ++oy) {
+            const int64_t iy = oy * g.stride + ky - g.padding;
+            if (iy < 0 || iy >= g.in_h) continue;
+            for (int64_t ox = 0; ox < ow; ++ox) {
+              const int64_t ix = ox * g.stride + kx - g.padding;
+              if (ix >= 0 && ix < g.in_w) img[iy * g.in_w + ix] += src[oy * ow + ox];
             }
           }
         }
-      });
+      }
+    }
+  }
 }
 
 void pad_into(const Tensor& input, const Conv2dGeometry& g, Tensor& padded) {
@@ -305,26 +285,41 @@ void pad_into(const Tensor& input, const Conv2dGeometry& g, Tensor& padded) {
   });
 }
 
-void conv_matmul_into(const Tensor& weight, const Tensor& padded,
-                      const Conv2dGeometry& g, Tensor& out) {
-  const detail::ConvOperand b = conv_operand(padded, g, "conv_matmul");
+void conv_forward_into(const Tensor& weight, const Tensor& bias,
+                       const Tensor& padded, const Conv2dGeometry& g,
+                       Tensor& out) {
+  const detail::ConvOperand b = conv_operand(padded, g, "conv_forward");
   DECO_CHECK(weight.ndim() == 2 && weight.dim(1) == b.rows(),
-             "conv_matmul: weight " + weight.shape_str() +
+             "conv_forward: weight " + weight.shape_str() +
                  " disagrees with geometry");
-  ensure_shape(out, {weight.dim(0), b.cols()});
-  detail::gemm_conv(weight.dim(0), weight.data(), b, out.data(),
-                    /*accumulate=*/false);
+  const int64_t m = weight.dim(0);
+  DECO_CHECK(bias.ndim() == 1 && bias.dim(0) == m,
+             "conv_forward: bias " + bias.shape_str() + " disagrees with weight");
+  ensure_shape(out, {b.batch, m, b.out_h, b.out_w});
+  detail::gemm_conv(m, weight.data(), bias.data(), b, out.data());
 }
 
-void conv_matmul_nt_acc_into(const Tensor& grad, const Tensor& padded,
-                             const Conv2dGeometry& g, Tensor& out) {
-  const detail::ConvOperand b = conv_operand(padded, g, "conv_matmul_nt_acc");
-  DECO_CHECK(grad.ndim() == 2 && grad.dim(1) == b.cols(),
-             "conv_matmul_nt_acc: grad " + grad.shape_str() +
+void conv_weight_grad_acc_into(const Tensor& grad, const Tensor& padded,
+                               const Conv2dGeometry& g, Tensor& dw) {
+  const detail::ConvOperand b = conv_operand(padded, g, "conv_weight_grad");
+  DECO_CHECK(grad.ndim() == 4, "conv_weight_grad: grad must be NCHW");
+  const int64_t m = grad.dim(1);
+  check_conv_grad(grad, b, m, "conv_weight_grad");
+  check_acc_shape(dw, m, b.rows(), "conv_weight_grad");
+  detail::gemm_conv_nt(m, grad.data(), b, dw.data());
+}
+
+void conv_input_grad_into(const Tensor& weight, const Tensor& grad,
+                          const Conv2dGeometry& g, Tensor& grad_input) {
+  DECO_CHECK(grad.ndim() == 4, "conv_input_grad: grad must be NCHW");
+  const detail::ConvOperand b = conv_operand(g, grad.dim(0), "conv_input_grad");
+  DECO_CHECK(weight.ndim() == 2 && weight.dim(1) == b.rows(),
+             "conv_input_grad: weight " + weight.shape_str() +
                  " disagrees with geometry");
-  check_acc_shape(out, grad.dim(0), b.rows(), "conv_matmul_nt_acc");
-  detail::gemm_conv_nt(grad.dim(0), grad.data(), b, out.data(),
-                       /*accumulate=*/true);
+  const int64_t m = weight.dim(0);
+  check_conv_grad(grad, b, m, "conv_input_grad");
+  ensure_shape(grad_input, {b.batch, g.in_channels, g.in_h, g.in_w});
+  detail::gemm_conv_dx(m, weight.data(), grad.data(), b, grad_input.data());
 }
 
 void softmax_rows_into(const Tensor& logits, Tensor& probs) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 
 #include "deco/core/telemetry.h"
 #include "deco/data/world.h"
@@ -251,6 +252,10 @@ TEST(CondenserTimingTest, DecoDoesFarFewerGemmFlopsThanDc) {
   const int64_t deco_flops = flops_of(deco);
   const int64_t dc_flops = flops_of(dc);
   telem::set_enabled(was_enabled);
+  // Both counts go into the test's XML properties (--gtest_output=xml), so
+  // a kernel change can show they did not move.
+  RecordProperty("deco_gemm_flops", std::to_string(deco_flops));
+  RecordProperty("dc_gemm_flops", std::to_string(dc_flops));
   // DC spends 5.4× DECO's flops here. The count does not vary between
   // runs, so the bound can sit closer to it than the wall-clock test's 2×.
   EXPECT_GT(deco_flops, 0);

@@ -1,10 +1,13 @@
 // The ConvNet's conv and per-plane kernels against the code they replaced,
 // compared byte for byte (memcmp) at 1 and 4 threads:
-//   * pad_into + conv_matmul_into (the GEMM packing its B panels straight
-//     from the padded input) against matmul_into(W, im2col_into(x)),
-//     conv_matmul_nt_acc_into (the dW GEMM, packing its transposed panels
-//     from the padded input) against matmul_nt_acc_into(dy, im2col_into(x)),
-//     and col2im_into against the bounds-test-per-element loop kept below;
+//   * pad_into + conv_forward_into (the GEMM packing its B panels straight
+//     from the padded input and writing NCHW plus bias) against
+//     matmul_into(W, im2col_into(x)) permuted to NCHW plus bias,
+//     conv_weight_grad_acc_into (dy read in NCHW, transposed panels packed
+//     from the padded input) against matmul_nt_acc_into on the permuted dy,
+//     conv_input_grad_into (the dX product drained through col2im tile by
+//     tile) against matmul_tn_into + col2im_into, and a Conv2d layer
+//     (including its bias grad) against the same references;
 //   * InstanceNorm2d and AvgPool2d forward/backward against the one-plane
 //     loops kept below, with N·C not a multiple of the 8-plane block;
 //   * NormReluPool against InstanceNorm2d → ReLU → AvgPool2d(2), under every
@@ -60,38 +63,36 @@ nn::ParamRef param(nn::Module& m, const std::string& name) {
   return {};
 }
 
-// ---- convolution GEMM and col2im --------------------------------------------
+// ---- convolution GEMMs ---------------------------------------------------------
 
-// col2im with a bounds test per element, in the (ky, kx, oy, ox) order the
-// hoisted kernel must keep.
-Tensor reference_col2im(const Tensor& cols, const Conv2dGeometry& g,
-                        int64_t batch) {
-  Tensor img({batch, g.in_channels, g.in_h, g.in_w});
-  const int64_t oh = g.out_h(), ow = g.out_w(), total = batch * oh * ow;
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    for (int64_t n = 0; n < batch; ++n) {
-      float* plane = img.data() + (n * g.in_channels + c) * g.in_h * g.in_w;
-      for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
-        for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-          const int64_t row = (c * g.kernel_h + ky) * g.kernel_w + kx;
-          const float* src = cols.data() + row * total + n * oh * ow;
-          for (int64_t oy = 0; oy < oh; ++oy) {
-            const int64_t iy = oy * g.stride + ky - g.padding;
-            if (iy < 0 || iy >= g.in_h) continue;
-            for (int64_t ox = 0; ox < ow; ++ox) {
-              const int64_t ix = ox * g.stride + kx - g.padding;
-              if (ix >= 0 && ix < g.in_w) {
-                plane[iy * g.in_w + ix] += src[oy * ow + ox];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return img;
+// The GEMM-layout [out_ch, N*oh*ow] product permuted to NCHW with bias[oc]
+// added: the forward output Conv2d used to build.
+Tensor permuted_plus_bias(const Tensor& mat, const Tensor& bias, int64_t batch,
+                          int64_t oh, int64_t ow) {
+  const int64_t m = mat.dim(0), per_sample = oh * ow;
+  Tensor out({batch, m, oh, ow});
+  for (int64_t n = 0; n < batch; ++n)
+    for (int64_t oc = 0; oc < m; ++oc)
+      for (int64_t i = 0; i < per_sample; ++i)
+        out[(n * m + oc) * per_sample + i] =
+            mat.at2(oc, n * per_sample + i) + bias[oc];
+  return out;
 }
 
+// NCHW dy permuted to the GEMM layout [out_ch, N*oh*ow].
+Tensor permuted_to_gemm(const Tensor& dy) {
+  const int64_t batch = dy.dim(0), m = dy.dim(1);
+  const int64_t per_sample = dy.dim(2) * dy.dim(3);
+  Tensor mat({m, batch * per_sample});
+  for (int64_t oc = 0; oc < m; ++oc)
+    for (int64_t n = 0; n < batch; ++n)
+      for (int64_t i = 0; i < per_sample; ++i)
+        mat.at2(oc, n * per_sample + i) = dy[(n * m + oc) * per_sample + i];
+  return mat;
+}
+
+// Every convolution kernel against its materialized reference, and a
+// Conv2d layer against the same references, onto non-zero starting grads.
 void expect_conv_gemm_matches(int64_t batch, int64_t channels, int64_t h,
                               int64_t w, int64_t kernel, int64_t stride,
                               int64_t padding, int64_t out_channels,
@@ -99,32 +100,63 @@ void expect_conv_gemm_matches(int64_t batch, int64_t channels, int64_t h,
   SCOPED_TRACE("N=" + std::to_string(batch) + " C=" + std::to_string(channels) +
                " H=" + std::to_string(h) + " W=" + std::to_string(w) +
                " k=" + std::to_string(kernel) + " s=" + std::to_string(stride) +
-               " p=" + std::to_string(padding));
+               " p=" + std::to_string(padding) +
+               " M=" + std::to_string(out_channels));
   const Conv2dGeometry g{channels, h, w, kernel, kernel, stride, padding};
+  const int64_t oh = g.out_h(), ow = g.out_w();
   Rng rng(seed);
   const Tensor x = random_tensor({batch, channels, h, w}, rng);
   const Tensor weight = random_tensor({out_channels, g.col_rows()}, rng);
+  const Tensor bias = random_tensor({out_channels}, rng);
+  const Tensor dy = random_tensor({batch, out_channels, oh, ow}, rng);
+  const Tensor dy_mat = permuted_to_gemm(dy);
 
-  Tensor cols, want;
+  // Forward: W·im2col(x), permuted to NCHW, plus bias.
+  Tensor cols, mat;
   im2col_into(x, g, cols);
-  matmul_into(weight, cols, want);
-
-  Tensor padded, got;
+  matmul_into(weight, cols, mat);
+  const Tensor want_y = permuted_plus_bias(mat, bias, batch, oh, ow);
+  Tensor padded, got_y;
   pad_into(x, g, padded);
-  conv_matmul_into(weight, padded, g, got);
-  EXPECT_TRUE(same_bytes(got, want));
+  conv_forward_into(weight, bias, padded, g, got_y);
+  EXPECT_TRUE(same_bytes(got_y, want_y));
 
   // dW: both accumulate onto the same non-zero start.
-  const Tensor dy = random_tensor({out_channels, cols.dim(1)}, rng);
-  Tensor want_dw = random_tensor({out_channels, g.col_rows()}, rng);
-  Tensor got_dw = want_dw;
-  matmul_nt_acc_into(dy, cols, want_dw);
-  conv_matmul_nt_acc_into(dy, padded, g, got_dw);
+  const Tensor dw_start = random_tensor({out_channels, g.col_rows()}, rng);
+  Tensor want_dw = dw_start;
+  matmul_nt_acc_into(dy_mat, cols, want_dw);
+  Tensor got_dw = dw_start;
+  conv_weight_grad_acc_into(dy, padded, g, got_dw);
   EXPECT_TRUE(same_bytes(got_dw, want_dw));
 
-  Tensor image({batch, channels, h, w});
-  col2im_into(cols, g, image);
-  EXPECT_TRUE(same_bytes(image, reference_col2im(cols, g, batch)));
+  // dX: the fused product + col2im against the column matrix folded back;
+  // the output starts as garbage, so every plane must be rewritten whole.
+  Tensor dcols, want_dx({batch, channels, h, w});
+  matmul_tn_into(weight, dy_mat, dcols);
+  col2im_into(dcols, g, want_dx);
+  Tensor got_dx = random_tensor(want_dx.shape(), rng);
+  conv_input_grad_into(weight, dy, g, got_dx);
+  EXPECT_TRUE(same_bytes(got_dx, want_dx));
+
+  // The layer: same output, dX and dW, and a bias grad summed per channel in
+  // (n, pixel) order in double, all onto non-zero starting grads.
+  Rng init(seed);
+  nn::Conv2d conv(channels, out_channels, kernel, stride, padding, init);
+  *param(conv, "conv.weight").value = weight;
+  *param(conv, "conv.bias").value = bias;
+  const Tensor db_start = random_tensor({out_channels}, rng);
+  *param(conv, "conv.weight").grad = dw_start;
+  *param(conv, "conv.bias").grad = db_start;
+  EXPECT_TRUE(same_bytes(conv.forward(x), want_y));
+  EXPECT_TRUE(same_bytes(conv.backward(dy), want_dx));
+  Tensor want_db = db_start;
+  for (int64_t oc = 0; oc < out_channels; ++oc) {
+    double sum = 0.0;
+    for (int64_t j = 0; j < dy_mat.dim(1); ++j) sum += dy_mat.at2(oc, j);
+    want_db[oc] += static_cast<float>(sum);
+  }
+  EXPECT_TRUE(same_bytes(*param(conv, "conv.weight").grad, want_dw));
+  EXPECT_TRUE(same_bytes(*param(conv, "conv.bias").grad, want_db));
 }
 
 TEST(ConvKernelsTest, GemmConvMatchesMatmulOverIm2col) {
@@ -168,9 +200,29 @@ TEST(ConvKernelsTest, GemmConvMatchesAcrossBlockBoundaries) {
   // Forward: k = 270 crosses the KC block, n = 570 the NC tile, m = 70 the
   // MC tile, and a 19-wide output row straddles NR strips. dW: k = 570
   // pixels crosses the KC block twice, and the 270 taps end in a partial
-  // NR strip.
+  // NR strip. dX: 30 channels leave a 6-channel last block of 54 rows.
   at_1_and_4_threads([] {
     expect_conv_gemm_matches(3, 30, 10, 19, 3, 1, 1, 70, 410);
+  });
+}
+
+TEST(ConvKernelsTest, ConvInputGradMatchesMatmulTnAndCol2im) {
+  // The dX tile is 8 input channels × about 256 columns (whole samples).
+  at_1_and_4_threads([] {
+    uint64_t seed = 450;
+    // 13 channels: one full block and a 5-channel block; 3 channels: one
+    // partial block. 8×8 output planes take 4 samples a block, so batch 7
+    // ends in a 3-sample block; 4×4 planes take 16, so batch 17 ends in 1.
+    for (int64_t channels : {3, 13}) {
+      expect_conv_gemm_matches(7, channels, 8, 8, 3, 1, 1, 6, seed++);
+      expect_conv_gemm_matches(17, channels, 4, 4, 3, 1, 1, 6, seed++);
+      expect_conv_gemm_matches(5, channels, 16, 16, 3, 2, 1, 4, seed++);
+    }
+    // A 3×5 output plane: 17 samples (255 columns) a block, so batch 20
+    // ends in a 3-sample block, and block columns straddle NR strips.
+    expect_conv_gemm_matches(20, 13, 3, 5, 3, 1, 1, 5, seed++);
+    // 300 output channels: the dX product's k crosses the KC block.
+    expect_conv_gemm_matches(2, 13, 6, 6, 3, 1, 1, 300, seed++);
   });
 }
 
@@ -178,9 +230,31 @@ TEST(ConvKernelsTest, GemmConvRejectsKernelLargerThanPaddedInput) {
   const Conv2dGeometry g{1, 2, 2, 3, 3, 1, 0};
   Tensor padded, out;
   pad_into(Tensor({1, 1, 2, 2}), g, padded);
-  EXPECT_THROW(conv_matmul_into(Tensor({1, 9}), padded, g, out), Error);
+  EXPECT_THROW(conv_forward_into(Tensor({1, 9}), Tensor({1}), padded, g, out),
+               Error);
   Tensor dw({1, 9});
-  EXPECT_THROW(conv_matmul_nt_acc_into(Tensor({1, 0}), padded, g, dw), Error);
+  EXPECT_THROW(conv_weight_grad_acc_into(Tensor({1, 1, 0, 0}), padded, g, dw),
+               Error);
+  EXPECT_THROW(
+      conv_input_grad_into(Tensor({1, 9}), Tensor({1, 1, 0, 0}), g, out),
+      Error);
+}
+
+TEST(ConvKernelsTest, ConvKernelsRejectMismatchedGrad) {
+  const Conv2dGeometry g{2, 5, 5, 3, 3, 1, 1};
+  Tensor padded, dw({4, 18}), dx;
+  pad_into(Tensor({3, 2, 5, 5}), g, padded);
+  // Wrong batch, channel count and plane size; and a GEMM-layout grad.
+  for (const Tensor& dy : {Tensor({2, 4, 5, 5}), Tensor({3, 3, 5, 5}),
+                           Tensor({3, 4, 5, 4}), Tensor({4, 75})}) {
+    EXPECT_THROW(conv_weight_grad_acc_into(dy, padded, g, dw), Error);
+  }
+  EXPECT_THROW(conv_input_grad_into(Tensor({4, 18}), Tensor({3, 3, 5, 5}), g, dx),
+               Error);
+  EXPECT_THROW(conv_input_grad_into(Tensor({4, 18}), Tensor({4, 75}), g, dx),
+               Error);
+  EXPECT_THROW(conv_forward_into(Tensor({4, 18}), Tensor({3}), padded, g, dx),
+               Error);
 }
 
 // ---- InstanceNorm2d ----------------------------------------------------------

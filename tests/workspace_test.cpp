@@ -84,7 +84,47 @@ TEST(WorkspaceTest, HighWaterTracksPeakNotCurrent) {
   }
   EXPECT_EQ(ws.high_water_bytes(), 2 * 256 * static_cast<int64_t>(sizeof(float)))
       << "a smaller later peak must not lower the high-water mark";
+  core::Workspace::Scope outer(ws);
+  outer.alloc_floats(16);
+  ws.reset_high_water();
+  EXPECT_EQ(ws.high_water_bytes(), 16 * static_cast<int64_t>(sizeof(float)))
+      << "a reset restarts from the bytes in use";
+  {
+    core::Workspace::Scope scope(ws);
+    scope.alloc_floats(64);
+  }
+  EXPECT_EQ(ws.high_water_bytes(), 80 * static_cast<int64_t>(sizeof(float)));
 }
+
+#if DECO_WORKSPACE_ASAN
+// Under AddressSanitizer the arena poisons everything it has not handed
+// out: a write one float past an allocation (into its alignment padding)
+// and a write into a released scope are both reported.
+TEST(WorkspaceDeathTest, AsanReportsWriteOnePastAnAllocation) {
+  EXPECT_DEATH(
+      {
+        core::Workspace ws;
+        core::Workspace::Scope scope(ws);
+        volatile float* p = scope.alloc_floats(5);
+        p[5] = 1.0f;
+      },
+      "use-after-poison");
+}
+
+TEST(WorkspaceDeathTest, AsanReportsWriteIntoReleasedScope) {
+  EXPECT_DEATH(
+      {
+        core::Workspace ws;
+        volatile float* p = nullptr;
+        {
+          core::Workspace::Scope scope(ws);
+          p = scope.alloc_floats(64);
+        }
+        p[0] = 1.0f;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(WorkspaceTest, BlocksGrowWithoutInvalidatingEarlierPointers) {
   core::Workspace ws;
