@@ -24,9 +24,11 @@
 //      noisy neighbour cannot skew one side) must agree within 5%.
 //
 // The run writes two artifacts, which CI uploads:
-//   * BENCH_kernels.json — the GEMM shape sweep: square 64/192/512 plus the
-//     conv-shaped skinny GEMMs the paper-config ConvNet issues, packed vs
-//     naive, ms and GFLOP/s, single-threaded so runs compare across PRs;
+//   * BENCH_kernels.json — the GEMM shape sweep: square 64/192/512 matmuls
+//     plus the conv kernels Conv2d runs in the paper-config ConvNet
+//     (conv_forward_into, conv_weight_grad_acc_into, conv_input_grad_into),
+//     each against the naive loop over the same product's materialized
+//     operands, ms and GFLOP/s, single-threaded so runs compare across PRs;
 //   * BENCH_telemetry.json — the measured telemetry overhead, the memory one
 //     steady-state learner step holds (workspace high water and tensor-pool
 //     bytes; informational, for diffing across changes) plus the full
@@ -71,13 +73,9 @@ double time_ms(const std::function<void()>& op) {
 
 enum class GemmOp { NN, TN, NT };
 
-struct SweepShape {
-  std::string name;
-  GemmOp op;
-  int64_t m, n, k;
-};
-
-// The pre-blocking i-k-j kernel, kept as the measurement baseline.
+// The pre-blocking i-k-j kernel, kept as the measurement baseline: out
+// [m, n] = A·B over materialized operands, with A [m, k] (NN, NT) or [k, m]
+// (TN) and B [k, n] (NN, TN) or [n, k] (NT).
 void naive_gemm(GemmOp op, const Tensor& a, const Tensor& b, Tensor& out) {
   const int64_t m = out.dim(0), n = out.dim(1);
   const int64_t k = op == GemmOp::TN ? a.dim(0) : a.dim(1);
@@ -99,66 +97,110 @@ void naive_gemm(GemmOp op, const Tensor& a, const Tensor& b, Tensor& out) {
   }
 }
 
-// Times every sweep shape packed vs naive, writes BENCH_kernels.json, and
+// One sweep row: the shipped kernel (`packed`) against the naive loop over
+// the same product's materialized operands, both m×n×k.
+struct SweepRow {
+  std::string name;
+  std::string op;
+  int64_t m, n, k;
+  std::function<void()> packed;
+  std::function<void()> naive;
+};
+
+// The operands of one conv layer of the paper-config ConvNet at batch 32,
+// plus the materialized matrices its naive baselines read.
+struct ConvLayer {
+  Conv2dGeometry g;
+  Tensor weight, bias, padded, dy;  // what the conv kernels read
+  Tensor cols, dy_mat;              // im2col(x) and dy as [out_ch, N·oh·ow]
+  Tensor out, dw, dx;               // the conv kernels' outputs
+  Tensor ref_fwd, ref_dw, ref_dx;   // the naive products' outputs
+
+  ConvLayer(const Conv2dGeometry& geom, int64_t batch, int64_t width, Rng& rng)
+      : g(geom) {
+    Tensor x({batch, g.in_channels, g.in_h, g.in_w});
+    weight = Tensor({width, g.col_rows()});
+    bias = Tensor({width});
+    dy = Tensor({batch, width, g.out_h(), g.out_w()});
+    for (Tensor* t : {&x, &weight, &bias, &dy}) rng.fill_normal(*t, 0, 1);
+    pad_into(x, g, padded);
+    im2col_into(x, g, cols);
+    const int64_t per_sample = g.out_h() * g.out_w();
+    dy_mat = Tensor({width, batch * per_sample});
+    for (int64_t n = 0; n < batch; ++n)
+      for (int64_t o = 0; o < width; ++o)
+        for (int64_t i = 0; i < per_sample; ++i)
+          dy_mat.at2(o, n * per_sample + i) = dy[(n * width + o) * per_sample + i];
+    dw = Tensor({width, g.col_rows()});
+    ref_fwd = Tensor({width, dy_mat.dim(1)});
+    ref_dw = Tensor({width, g.col_rows()});
+    ref_dx = Tensor({g.col_rows(), dy_mat.dim(1)});
+  }
+  int64_t pixels() const { return dy_mat.dim(1); }
+};
+
+// Times every sweep row packed vs naive, writes BENCH_kernels.json, and
 // gates on the matmul_192 row.
 bool check_gemm_sweep() {
-  // The conv-shaped GEMMs the paper-config ConvNet (3×16×16 input, width 32)
-  // issues at batch 32: the forward product per conv block and the two
-  // backward products (dW and dcols) of the widest block.
+  Rng rng(9);
+  std::vector<SweepRow> rows;
+  // Square products through matmul_into; the operands outlive the rows.
+  std::vector<Tensor> square;
+  square.reserve(9);
+  for (int64_t s : {64, 192, 512}) {
+    Tensor& a = square.emplace_back(std::vector<int64_t>{s, s});
+    Tensor& b = square.emplace_back(std::vector<int64_t>{s, s});
+    Tensor& out = square.emplace_back(std::vector<int64_t>{s, s});
+    rng.fill_normal(a, 0, 1);
+    rng.fill_normal(b, 0, 1);
+    rows.push_back({"matmul_" + std::to_string(s), "nn", s, s, s,
+                    [&] { matmul_into(a, b, out); },
+                    [&] { naive_gemm(GemmOp::NN, a, b, out); }});
+  }
+  // The conv products the paper-config ConvNet (3×16×16 input, width 32)
+  // runs at batch 32, through the kernels Conv2d calls: the forward of the
+  // first two blocks and the dW and dX of the second. The forward and dW
+  // read the padded input in place; dX includes its col2im drain, which
+  // the naive row (the column-gradient product alone) leaves out.
   const int64_t width = 32, batch = 32;
-  const Conv2dGeometry g1{3, 16, 16, 3, 3, 1, 1};
-  const Conv2dGeometry g2{width, 8, 8, 3, 3, 1, 1};
-  const int64_t cols1 = batch * g1.out_h() * g1.out_w();
-  const int64_t cols2 = batch * g2.out_h() * g2.out_w();
-
-  std::vector<SweepShape> shapes;
-  for (int64_t s : {64, 192, 512})
-    shapes.push_back({"matmul_" + std::to_string(s), GemmOp::NN, s, s, s});
-  shapes.push_back({"conv1_fwd", GemmOp::NN, width, cols1, g1.col_rows()});
-  shapes.push_back({"conv2_fwd", GemmOp::NN, width, cols2, g2.col_rows()});
-  shapes.push_back({"conv2_dw", GemmOp::NT, width, g2.col_rows(), cols2});
-  shapes.push_back({"conv2_dcols", GemmOp::TN, g2.col_rows(), cols2, width});
+  ConvLayer l1({3, 16, 16, 3, 3, 1, 1}, batch, width, rng);
+  ConvLayer l2({width, 8, 8, 3, 3, 1, 1}, batch, width, rng);
+  for (ConvLayer* l : {&l1, &l2}) {
+    const std::string name = l == &l1 ? "conv1_fwd" : "conv2_fwd";
+    rows.push_back({name, "conv_fwd", width, l->pixels(), l->g.col_rows(),
+                    [l] { conv_forward_into(l->weight, l->bias, l->padded,
+                                            l->g, l->out); },
+                    [l] { naive_gemm(GemmOp::NN, l->weight, l->cols, l->ref_fwd); }});
+  }
+  ConvLayer* l = &l2;
+  rows.push_back({"conv2_dw", "conv_dw", width, l->g.col_rows(), l->pixels(),
+                  [l] { conv_weight_grad_acc_into(l->dy, l->padded, l->g,
+                                                  l->dw); },
+                  [l] { naive_gemm(GemmOp::NT, l->dy_mat, l->cols, l->ref_dw); }});
+  rows.push_back({"conv2_dx", "conv_dx", l->g.col_rows(), l->pixels(), width,
+                  [l] { conv_input_grad_into(l->weight, l->dy, l->g, l->dx); },
+                  [l] { naive_gemm(GemmOp::TN, l->weight, l->dy_mat, l->ref_dx); }});
 
   std::ofstream js("BENCH_kernels.json");
   js << "{\n  \"threads\": 1,\n  \"shapes\": {\n";
-  Rng rng(9);
   bool ok = true;
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    const SweepShape& s = shapes[i];
-    // Operand layouts per op: NN a[m,k] b[k,n]; TN a[k,m] b[k,n]; NT a[m,k]
-    // b[n,k].
-    Tensor a(s.op == GemmOp::TN ? std::vector<int64_t>{s.k, s.m}
-                                : std::vector<int64_t>{s.m, s.k});
-    Tensor b(s.op == GemmOp::NT ? std::vector<int64_t>{s.n, s.k}
-                                : std::vector<int64_t>{s.k, s.n});
-    rng.fill_normal(a, 0, 1);
-    rng.fill_normal(b, 0, 1);
-    Tensor out({s.m, s.n}), ref({s.m, s.n});
-
-    const double packed_ms = time_ms([&] {
-      switch (s.op) {
-        case GemmOp::NN: matmul_into(a, b, out); break;
-        case GemmOp::TN: matmul_tn_into(a, b, out); break;
-        case GemmOp::NT: matmul_nt_into(a, b, out); break;
-      }
-    });
-    const double naive_ms = time_ms([&] { naive_gemm(s.op, a, b, ref); });
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const SweepRow& s = rows[i];
+    const double packed_ms = time_ms(s.packed);
+    const double naive_ms = time_ms(s.naive);
     const double flop = 2.0 * static_cast<double>(s.m) *
                         static_cast<double>(s.n) * static_cast<double>(s.k);
     const double packed_gflops = flop / (packed_ms * 1e-3) * 1e-9;
     const double naive_gflops = flop / (naive_ms * 1e-3) * 1e-9;
 
-    const char* opname = s.op == GemmOp::NN ? "nn"
-                         : s.op == GemmOp::TN ? "tn"
-                                              : "nt";
-    js << "    \"" << s.name << "\": {\"op\": \"" << opname
+    js << "    \"" << s.name << "\": {\"op\": \"" << s.op
        << "\", \"m\": " << s.m << ", \"n\": " << s.n << ", \"k\": " << s.k
        << ", \"packed_ms\": " << packed_ms
        << ", \"packed_gflops\": " << packed_gflops
        << ", \"naive_ms\": " << naive_ms
        << ", \"naive_gflops\": " << naive_gflops
        << ", \"speedup\": " << naive_ms / packed_ms << "}"
-       << (i + 1 < shapes.size() ? ",\n" : "\n");
+       << (i + 1 < rows.size() ? ",\n" : "\n");
     std::cout << "[gemm_sweep] " << s.name << ": packed " << packed_ms
               << " ms (" << packed_gflops << " GFLOP/s), naive " << naive_ms
               << " ms (" << naive_gflops << " GFLOP/s), speedup "

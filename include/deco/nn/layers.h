@@ -16,14 +16,15 @@
 
 namespace deco::nn {
 
-/// 2-D convolution via pad + packed implicit im2col: the input is copied
-/// once into a zero-bordered buffer, `padded_`, the only thing the layer
-/// holds between forward and backward. The forward GEMM packs its panels
-/// from it and writes the NCHW output (bias included) directly; the dW GEMM
-/// reads dy in place and packs from `padded_`; the dX GEMM reads dy in place
-/// and drains its product through col2im one L2-sized tile at a time. No
-/// column matrix, GEMM-layout output or permuted dy is ever built. Weight
-/// layout: [out_ch, in_ch*kh*kw], bias: [out_ch].
+/// 2-D convolution via pad + implicit im2col: the input is copied once
+/// into a zero-bordered buffer, `padded_`, the only thing the layer holds
+/// between forward and backward. The forward and dW GEMMs read `padded_` in
+/// place through offset tables, with output channels in the vector lanes,
+/// and pack only Wᵀ or dyᵀ; the forward writes the NCHW output (bias
+/// included) directly. The dX GEMM reads dy in place and drains its product
+/// through col2im one L2-sized tile at a time. No column matrix,
+/// GEMM-layout output or permuted dy is ever built. Weight layout:
+/// [out_ch, in_ch*kh*kw], bias: [out_ch].
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel, int64_t stride,

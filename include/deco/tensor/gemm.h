@@ -3,14 +3,15 @@
 // One strided entry point covers all three public variants (NN, Tᵀ·N, N·Bᵀ):
 // the operands are described by row/column strides, the kernel packs them
 // into contiguous aligned panels, and a fixed microkernel does the flops.
-// Three more entry points run the same compute loop for a convolution:
-// gemm_conv (forward, B gathered from a zero-bordered input, output written
-// straight into NCHW with the bias), gemm_conv_nt (dW, dy read in NCHW) and
-// gemm_conv_dx (dX, the product drained through col2im one L2-sized tile at
-// a time). None of them materializes an im2col matrix, a permuted dy or a
-// column-gradient matrix, and B is packed one KC×NR micro-panel at a time.
-// See src/tensor/gemm.cpp for the blocking scheme and the determinism
-// argument, and docs/EXTENDING.md for how to tune the block sizes.
+// Three more entry points compute a convolution from an input that already
+// carries its zero border: gemm_conv (forward, output written straight into
+// NCHW with the bias) and gemm_conv_nt (dW) read that input in place
+// through offset tables with output channels in the vector lanes, packing
+// only Wᵀ or dyᵀ; gemm_conv_dx (dX) drains its product through col2im one
+// L2-sized tile at a time. None of them materializes an im2col matrix, a
+// permuted dy or a column-gradient matrix. See src/tensor/gemm.cpp for the
+// blocking scheme and the determinism argument, and docs/EXTENDING.md for
+// how to tune the block sizes.
 #pragma once
 
 #include <cstdint>
@@ -55,28 +56,33 @@ struct ConvOperand {
 
 /// out [batch, m, out_h, out_w] (NCHW) = A·B + bias, with A row-major
 /// m×b.rows(), B the implicit im2col matrix described by `b` and bias[m].
-/// The product's tiles are written straight into the NCHW planes, and the
-/// bias is added after the last k block as its own rounding, so `out` is
-/// bitwise equal to gemm_strided(m, n, k, a, k, 1, im2col, n, 1, c, false)
-/// permuted to NCHW and then given c[i][j] + bias[i].
+/// Computed as the transposed product: 8-pixel strips of B read through
+/// pixel-origin and tap-offset tables against Aᵀ packed once, then each
+/// tile transposed into the NCHW planes with the bias added after the last
+/// k block as its own rounding. `out` is bitwise equal to gemm_strided(m,
+/// n, k, a, k, 1, im2col, n, 1, c, false) permuted to NCHW and then given
+/// c[i][j] + bias[i].
 void gemm_conv(int64_t m, const float* a, const float* bias,
                const ConvOperand& b, float* out);
 
 /// C (row-major, m×b.rows()) += dy·Bᵀ with dy [batch, m, out_h, out_w]
-/// (NCHW, read in place as the m×b.cols() matrix of the forward output) and
-/// B the implicit im2col matrix described by `b` — a convolution's weight
-/// gradient. Bitwise identical to gemm_strided(m, b.rows(), b.cols(),
-/// dy_mat, b.cols(), 1, im2col, 1, b.cols(), c, true), where dy_mat is dy
-/// permuted to [m, batch·out_h·out_w].
+/// (NCHW, read as the m×b.cols() matrix of the forward output) and B the
+/// implicit im2col matrix described by `b` — a convolution's weight
+/// gradient. Computed as Cᵀ += B·dyᵀ: 8-tap strips of B read through the
+/// same offset tables against dyᵀ packed one KC×32 block at a time. Bitwise
+/// identical to gemm_strided(m, b.rows(), b.cols(), dy_mat, b.cols(), 1,
+/// im2col, 1, b.cols(), c, true), where dy_mat is dy permuted to
+/// [m, batch·out_h·out_w].
 void gemm_conv_nt(int64_t m, const float* dy, const ConvOperand& b, float* c);
 
 /// dx [batch, channels, in_h, in_w] = col2im(Wᵀ·dy) with W row-major
 /// m×b.rows() and dy [batch, m, out_h, out_w] (NCHW, read in place) — a
-/// convolution's input gradient. The product runs per block of 8 input
-/// channels × about 256 columns into a Workspace tile, which col2im then
-/// drains into the block's whole dx planes, so no column-gradient matrix
-/// exists. Bitwise identical to gemm_strided(b.rows(), b.cols(), m, w, 1,
-/// b.rows(), dy_mat, b.cols(), 1, cols, false) followed by col2im_into.
+/// convolution's input gradient. Each block of whole samples (about 256
+/// columns) packs its dy columns once; the product then runs per 8 input
+/// channels of it into a Workspace tile, which col2im drains into the
+/// block's whole dx planes, so no column-gradient matrix exists. Bitwise
+/// identical to gemm_strided(b.rows(), b.cols(), m, w, 1, b.rows(), dy_mat,
+/// b.cols(), 1, cols, false) followed by col2im_into.
 void gemm_conv_dx(int64_t m, const float* w, const float* dy,
                   const ConvOperand& b, float* dx);
 

@@ -1,13 +1,15 @@
 // The ConvNet's conv and per-plane kernels against the code they replaced,
 // compared byte for byte (memcmp) at 1 and 4 threads:
-//   * pad_into + conv_forward_into (the GEMM packing its B panels straight
-//     from the padded input and writing NCHW plus bias) against
+//   * pad_into + conv_forward_into (the padded input read through offset
+//     tables against packed Wᵀ, written to NCHW plus bias) against
 //     matmul_into(W, im2col_into(x)) permuted to NCHW plus bias,
-//     conv_weight_grad_acc_into (dy read in NCHW, transposed panels packed
-//     from the padded input) against matmul_nt_acc_into on the permuted dy,
-//     conv_input_grad_into (the dX product drained through col2im tile by
-//     tile) against matmul_tn_into + col2im_into, and a Conv2d layer
-//     (including its bias grad) against the same references;
+//     conv_weight_grad_acc_into (the same tables against packed dyᵀ)
+//     against matmul_nt_acc_into on the permuted dy, conv_input_grad_into
+//     (the dX product drained through col2im tile by tile) against
+//     matmul_tn_into + col2im_into, and a Conv2d layer (including its bias
+//     grad) against the same references; with ±Inf inputs, NaN and Inf
+//     must land where the references put them; and each conv entry's
+//     gemm/pack_bytes must be the small operand's, computed from the shape;
 //   * InstanceNorm2d and AvgPool2d forward/backward against the one-plane
 //     loops kept below, with N·C not a multiple of the 8-plane block;
 //   * NormReluPool against InstanceNorm2d → ReLU → AvgPool2d(2), under every
@@ -18,10 +20,12 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "deco/core/telemetry.h"
 #include "deco/core/thread_pool.h"
 #include "deco/nn/layers.h"
 #include "deco/tensor/check.h"
@@ -224,6 +228,158 @@ TEST(ConvKernelsTest, ConvInputGradMatchesMatmulTnAndCol2im) {
     // 300 output channels: the dX product's k crosses the KC block.
     expect_conv_gemm_matches(2, 13, 6, 6, 3, 1, 1, 300, seed++);
   });
+}
+
+TEST(ConvKernelsTest, GemmConvMatchesAcrossChannelLanes) {
+  // The conv forward and dW put output channels in the 32 vector lanes: 16
+  // fills half a lane panel, 32 one, 33 spills one channel into a second.
+  // Output planes of 5×7 and 5×3 pixels are not multiples of the 8-pixel
+  // strip, so strips cross sample boundaries.
+  at_1_and_4_threads([] {
+    uint64_t seed = 480;
+    for (int64_t out_channels : {16, 32, 33}) {
+      expect_conv_gemm_matches(3, 5, 5, 7, 3, 1, 1, out_channels, seed++);
+      expect_conv_gemm_matches(2, 4, 9, 6, 3, 2, 1, out_channels, seed++);
+    }
+  });
+}
+
+// NaN where `want` has NaN, and every other element bitwise equal (so ±Inf
+// lands where `want` puts it).
+::testing::AssertionResult same_values(const Tensor& got, const Tensor& want) {
+  if (got.shape() != want.shape()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.shape_str() << " vs " << want.shape_str();
+  }
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    const bool nan = std::isnan(want[i]);
+    if (nan ? !std::isnan(got[i])
+            : std::memcmp(got.data() + i, want.data() + i, sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Counts of NaN, ±Inf and finite elements.
+struct Kinds {
+  int64_t nan = 0, inf = 0, finite = 0;
+};
+Kinds kinds(const Tensor& t) {
+  Kinds k;
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (std::isnan(t[i])) {
+      ++k.nan;
+    } else if (std::isinf(t[i])) {
+      ++k.inf;
+    } else {
+      ++k.finite;
+    }
+  }
+  return k;
+}
+
+TEST(ConvKernelsTest, ConvKernelsPropagateInfLikeTheMaterializedProducts) {
+  // One +Inf and one −Inf inside x, +Inf in one weight and −Inf in one dy
+  // element. Inf times the zero border, and Infs of both signs meeting in a
+  // sum, give NaN; the rest of an Inf's reach stays ±Inf.
+  const Conv2dGeometry g{3, 5, 7, 3, 3, 1, 1};
+  const int64_t batch = 3, m = 33, oh = g.out_h(), ow = g.out_w();
+  Rng rng(490);
+  Tensor x = random_tensor({batch, 3, 5, 7}, rng);
+  Tensor weight = random_tensor({m, g.col_rows()}, rng);
+  const Tensor bias = random_tensor({m}, rng);
+  Tensor dy = random_tensor({batch, m, oh, ow}, rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  x[(1 * 3 + 2) * 35 + 2 * 7 + 3] = inf;  // sample 1, channel 2, (2, 3)
+  x[(2 * 3 + 0) * 35 + 0 * 7 + 6] = -inf;  // sample 2, channel 0, (0, 6)
+  weight.at2(20, 13) = inf;
+  dy[(0 * m + 5) * 35 + 17] = -inf;
+
+  Tensor cols, mat;
+  im2col_into(x, g, cols);
+  matmul_into(weight, cols, mat);
+  const Tensor want_y = permuted_plus_bias(mat, bias, batch, oh, ow);
+  const Tensor dy_mat = permuted_to_gemm(dy);
+  const Tensor dw_start = random_tensor({m, g.col_rows()}, rng);
+  Tensor want_dw = dw_start;
+  matmul_nt_acc_into(dy_mat, cols, want_dw);
+  Tensor dcols, want_dx({batch, 3, 5, 7});
+  matmul_tn_into(weight, dy_mat, dcols);
+  col2im_into(dcols, g, want_dx);
+  // Every reference holds NaN, ±Inf and finite elements.
+  for (const Tensor* want : {&want_y, &std::as_const(want_dw),
+                             &std::as_const(want_dx)}) {
+    const Kinds k = kinds(*want);
+    EXPECT_GT(k.nan, 0);
+    EXPECT_GT(k.inf, 0);
+    EXPECT_GT(k.finite, 0);
+  }
+
+  at_1_and_4_threads([&] {
+    Tensor padded, got_y;
+    pad_into(x, g, padded);
+    conv_forward_into(weight, bias, padded, g, got_y);
+    EXPECT_TRUE(same_values(got_y, want_y));
+    Tensor got_dw = dw_start;
+    conv_weight_grad_acc_into(dy, padded, g, got_dw);
+    EXPECT_TRUE(same_values(got_dw, want_dw));
+    Tensor got_dx;
+    conv_input_grad_into(weight, dy, g, got_dx);
+    EXPECT_TRUE(same_values(got_dx, want_dx));
+  });
+}
+
+TEST(ConvKernelsTest, ConvProductsPackOnlyTheSmallOperand) {
+  // The forward packs Wᵀ and nothing else, dW packs dyᵀ once, and dX packs
+  // Wᵀ in 8-row strips plus every dy column once (8×8 planes are whole
+  // 32-column strips), whatever the thread count. None of them packs
+  // anything the size of the im2col matrix.
+#if !DECO_TELEMETRY_COMPILED
+  GTEST_SKIP() << "telemetry compiled out (-DDECO_TELEMETRY=OFF)";
+#endif
+  namespace telem = core::telemetry;
+  const bool was_enabled = telem::enabled();
+  telem::set_enabled(true);
+  auto delta = [](const char* name, const std::function<void()>& op) {
+    const int64_t before = telem::snapshot().counter_value(name);
+    op();
+    return telem::snapshot().counter_value(name) - before;
+  };
+  const int64_t f = sizeof(float);
+  for (int64_t m : {16, 33}) {
+    SCOPED_TRACE("M=" + std::to_string(m));
+    const Conv2dGeometry g{5, 8, 8, 3, 3, 1, 1};
+    const int64_t batch = 7, taps = g.col_rows(), pixels = batch * 64;
+    const int64_t lanes = (m + 31) / 32 * 32;
+    Rng rng(495);
+    const Tensor x = random_tensor({batch, 5, 8, 8}, rng);
+    const Tensor weight = random_tensor({m, taps}, rng);
+    const Tensor bias = random_tensor({m}, rng);
+    const Tensor dy = random_tensor({batch, m, 8, 8}, rng);
+    Tensor padded, y, dw({m, taps}), dx;
+    pad_into(x, g, padded);
+    at_1_and_4_threads([&] {
+      EXPECT_EQ(delta("gemm/pack_bytes",
+                      [&] { conv_forward_into(weight, bias, padded, g, y); }),
+                lanes * taps * f);
+      EXPECT_EQ(delta("gemm/pack_bytes",
+                      [&] { conv_weight_grad_acc_into(dy, padded, g, dw); }),
+                lanes * pixels * f);
+      EXPECT_EQ(delta("gemm/pack_bytes",
+                      [&] { conv_input_grad_into(weight, dy, g, dx); }),
+                ((taps + 7) / 8 * 8 + pixels) * m * f);
+      // Calls and flops are those of the GEMMs on materialized operands.
+      EXPECT_EQ(delta("gemm/flops",
+                      [&] { conv_forward_into(weight, bias, padded, g, y); }),
+                2 * m * taps * pixels);
+      EXPECT_EQ(delta("gemm/calls",
+                      [&] { conv_weight_grad_acc_into(dy, padded, g, dw); }),
+                1);
+    });
+  }
+  telem::set_enabled(was_enabled);
 }
 
 TEST(ConvKernelsTest, GemmConvRejectsKernelLargerThanPaddedInput) {
