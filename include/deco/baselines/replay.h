@@ -87,7 +87,6 @@ class ReplayBuffer {
   int64_t num_classes() const { return num_classes_; }
   int64_t ipc() const { return ipc_; }
   int64_t size() const;
-  DType storage_dtype() const { return dtype_; }
 
   /// Flattens the buffer into training tensors, decoding quantized rows.
   Tensor all_images() const;

@@ -102,7 +102,6 @@ class SyntheticBuffer {
 
   /// Sets the storage policy. Call before the first commit.
   void set_storage(DType dtype, int64_t block = kDefaultQuantBlock);
-  DType storage_dtype() const { return store_dtype_; }
   int64_t storage_block() const { return store_block_; }
 
   /// Quantizes the working images into canonical storage and decodes them

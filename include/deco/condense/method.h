@@ -185,45 +185,4 @@ class DmCondenser : public Condenser {
   Tensor velocity_;
 };
 
-// ---- MTT (trajectory matching, extension) -------------------------------------
-
-struct MttConfig {
-  int64_t iterations = 10;      ///< matching iterations per segment
-  int64_t expert_steps = 4;     ///< SGD steps defining the expert trajectory
-  float lr_model = 0.02f;       ///< inner SGD step for expert and student
-  float lr_syn = 0.01f;         ///< on RMS-normalized gradients
-  float momentum_syn = 0.5f;
-  float fd_scale = 0.01f;
-};
-
-/// One-step trajectory matching — an adaptation of "matching training
-/// trajectories" (Cazenavette et al., cited by the paper's related work) to
-/// the on-device setting, built on the same finite-difference machinery as
-/// DECO. Per iteration:
-///   1. From a random init th0, take `expert_steps` SGD steps on the REAL
-///      segment data -> expert parameters th*.
-///   2. One SGD step on the SYNTHETIC data from th0 -> student th_s(S).
-///   3. Minimize ||th_s(S) - th*||^2 w.r.t. S. Since th_s = th0 - lr*grad_th L(S),
-///      the gradient is -lr * d2L/dSdth * 2(th_s - th*) — a Hessian-vector
-///      product estimated with the same th +- eps*v central difference (Eq. 7).
-/// Not part of the paper's evaluation; shipped as the extension showing the
-/// framework "can be flexibly adapted to other condensation techniques".
-class MttCondenser : public Condenser {
- public:
-  MttCondenser(const nn::ConvNetConfig& model_config, MttConfig config,
-               uint64_t seed);
-  void condense(const CondenseContext& ctx) override;
-  std::string name() const override { return "MTT"; }
-
-  /// Trajectory losses ||th_s - th*||^2 of the last condense() call.
-  const std::vector<float>& last_losses() const { return last_losses_; }
-
- private:
-  MttConfig config_;
-  Rng rng_;
-  std::unique_ptr<nn::ConvNet> scratch_;
-  Tensor velocity_;
-  std::vector<float> last_losses_;
-};
-
 }  // namespace deco::condense

@@ -23,7 +23,7 @@ namespace deco::eval {
 
 /// One experiment. `method` picks the learner: any of
 /// runtime::session_methods() — "deco", the condensation baselines inside
-/// the DECO pipeline (dc, dsa, dm, mtt), a replay strategy or the oracle
+/// the DECO pipeline (dc, dsa, dm), a replay strategy or the oracle
 /// "upper_bound".
 struct RunConfig {
   std::string method = "deco";

@@ -3,10 +3,9 @@
 // classification head. The convolutional stack doubles as the encoder f_θ for
 // the feature-discrimination objective (Section III-D).
 //
-// With average pooling each block is two layers, Conv2d and NormReluPool
-// (the norm, ReLU and pool fused, bitwise equal to the three layers), so the
-// encoder's spans read nn/<2d>:Conv2d/... and nn/<2d+1>:NormReluPool/....
-// Max-pooling nets keep Conv2d, InstanceNorm2d, ReLU and MaxPool2d.
+// Each block is two layers, Conv2d and NormReluPool (the norm, ReLU and pool
+// fused, bitwise equal to the three layers), so the encoder's spans read
+// nn/<2d>:Conv2d/... and nn/<2d+1>:NormReluPool/....
 #pragma once
 
 #include <cstdint>
@@ -16,10 +15,6 @@
 
 namespace deco::nn {
 
-/// Pooling flavor for the conv blocks (the DC literature uses average
-/// pooling; max pooling is provided for architecture ablations).
-enum class Pooling { kAvg, kMax };
-
 struct ConvNetConfig {
   int64_t in_channels = 3;
   int64_t image_h = 16;
@@ -27,7 +22,6 @@ struct ConvNetConfig {
   int64_t num_classes = 10;
   int64_t width = 32;   ///< channels per conv block (paper uses 128)
   int64_t depth = 3;    ///< number of conv blocks
-  Pooling pooling = Pooling::kAvg;
 };
 
 /// ConvNet = encoder (conv blocks + flatten) + linear head. The split lets

@@ -1,6 +1,9 @@
 // Concrete layers for the ConvNet backbone used throughout the paper:
-// Conv2d, Linear, ReLU, AvgPool2d, MaxPool2d, InstanceNorm2d, NormReluPool
-// (InstanceNorm2d → ReLU → AvgPool2d(2) fused) and Flatten.
+// Conv2d, Linear, ReLU, AvgPool2d, InstanceNorm2d, NormReluPool
+// (InstanceNorm2d → ReLU → AvgPool2d(2) fused) and Flatten. The ConvNet
+// builds only Conv2d, NormReluPool, Flatten and Linear; ReLU, AvgPool2d and
+// the standalone InstanceNorm2d are the unfused reference NormReluPool's
+// bitwise tests compare against.
 //
 // All image tensors are NCHW. Layers cache exactly what their backward pass
 // needs and reuse buffers across iterations to avoid per-step allocation.
@@ -103,23 +106,6 @@ class AvgPool2d : public Module {
  private:
   int64_t kernel_;
   std::vector<int64_t> in_shape_;
-};
-
-/// Non-overlapping max pooling (kernel == stride). Gradient routes to the
-/// arg-max element of each window (ties: first in scan order).
-class MaxPool2d : public Module {
- public:
-  explicit MaxPool2d(int64_t kernel) : kernel_(kernel) {}
-
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output,
-                  GradNeed need = GradNeed::kAll) override;
-  std::string name() const override { return "MaxPool2d"; }
-
- private:
-  int64_t kernel_;
-  std::vector<int64_t> in_shape_;
-  std::vector<int64_t> argmax_;  // flat input index per output element
 };
 
 /// Instance normalization with learnable per-channel affine (γ, β), matching

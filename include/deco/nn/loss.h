@@ -74,12 +74,4 @@ SoftCrossEntropyResult soft_cross_entropy(const Tensor& logits,
                                           const Tensor& targets,
                                           const std::vector<float>& weights = {});
 
-/// Plain mean-squared error between two same-shape tensors; grad w.r.t. `pred`.
-struct MseResult {
-  float loss = 0.0f;
-  Tensor grad_pred;
-};
-
-MseResult mse_loss(const Tensor& pred, const Tensor& target);
-
 }  // namespace deco::nn

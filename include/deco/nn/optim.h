@@ -32,36 +32,12 @@ class SgdMomentum {
   /// Resets momentum buffers (used when the model is re-initialized).
   void reset_state();
 
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
  private:
   std::vector<ParamRef> params_;
   std::vector<Tensor> velocity_;
   float lr_;
   float momentum_;
   float weight_decay_;
-};
-
-/// Adam, used for synthetic-image optimization ablations.
-class Adam {
- public:
-  Adam(std::vector<ParamRef> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-
-  void step();
-  void zero_grad();
-  void reset_state();
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  std::vector<ParamRef> params_;
-  std::vector<Tensor> m_;
-  std::vector<Tensor> v_;
-  float lr_, beta1_, beta2_, eps_;
-  int64_t t_ = 0;
 };
 
 }  // namespace deco::nn

@@ -23,8 +23,8 @@ namespace deco::runtime {
 
 /// Everything build_session needs besides the world.
 struct SessionRecipe {
-  /// One of session_methods(): "deco", a condensation baseline (dc, dsa, dm,
-  /// mtt), "upper_bound" or a replay strategy.
+  /// One of session_methods(): "deco", a condensation baseline (dc, dsa,
+  /// dm), "upper_bound" or a replay strategy.
   std::string method = "deco";
   int64_t model_width = 16;
   int64_t model_depth = 2;

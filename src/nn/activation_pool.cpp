@@ -1,4 +1,3 @@
-#include <limits>
 #include <vector>
 
 #include "deco/core/thread_pool.h"
@@ -102,74 +101,6 @@ Tensor AvgPool2d::backward(const Tensor& grad_output, GradNeed /*need*/) {
           }
         }
       }
-    }
-  });
-  return grad_input;
-}
-
-// ---- MaxPool2d ---------------------------------------------------------------
-
-Tensor MaxPool2d::forward(const Tensor& input) {
-  DECO_CHECK(input.ndim() == 4, "MaxPool2d: input must be NCHW");
-  const int64_t N = input.dim(0), C = input.dim(1), H = input.dim(2),
-                W = input.dim(3);
-  DECO_CHECK(H % kernel_ == 0 && W % kernel_ == 0,
-             "MaxPool2d: spatial dims " + input.shape_str() +
-                 " not divisible by kernel " + std::to_string(kernel_));
-  in_shape_ = input.shape();
-  const int64_t oh = H / kernel_, ow = W / kernel_;
-  Tensor out({N, C, oh, ow});
-  argmax_.assign(static_cast<size_t>(out.numel()), 0);
-  const float* pi = input.data();
-  float* po = out.data();
-  core::parallel_for(0, N * C, 1, [&](int64_t nc0, int64_t nc1) {
-    for (int64_t nc = nc0; nc < nc1; ++nc) {
-      const float* img = pi + nc * H * W;
-      float* dst = po + nc * oh * ow;
-      int64_t* amax = argmax_.data() + nc * oh * ow;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          int64_t best_idx = 0;
-          for (int64_t ky = 0; ky < kernel_; ++ky) {
-            const int64_t iy = oy * kernel_ + ky;
-            for (int64_t kx = 0; kx < kernel_; ++kx) {
-              const int64_t ix = ox * kernel_ + kx;
-              const float v = img[iy * W + ix];
-              if (v > best) {
-                best = v;
-                best_idx = nc * H * W + iy * W + ix;
-              }
-            }
-          }
-          dst[oy * ow + ox] = best;
-          amax[oy * ow + ox] = best_idx;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-Tensor MaxPool2d::backward(const Tensor& grad_output, GradNeed /*need*/) {
-  DECO_CHECK(!in_shape_.empty(), "MaxPool2d::backward without forward");
-  const int64_t N = in_shape_[0], C = in_shape_[1], H = in_shape_[2],
-                W = in_shape_[3];
-  const int64_t oh = H / kernel_, ow = W / kernel_;
-  DECO_CHECK(grad_output.shape() == std::vector<int64_t>({N, C, oh, ow}),
-             "MaxPool2d::backward: grad " + grad_output.shape_str() +
-                 " does not match forward output");
-  Tensor grad_input(in_shape_);
-  float* pi = grad_input.data();
-  const float* pg = grad_output.data();
-  // argmax indices never leave their own (n, c) plane, so scattering one
-  // plane's outputs per task touches a disjoint slice of grad_input.
-  const int64_t plane_out = oh * ow;
-  const int64_t planes = N * C;
-  core::parallel_for(0, planes, 1, [&](int64_t nc0, int64_t nc1) {
-    for (int64_t nc = nc0; nc < nc1; ++nc) {
-      for (int64_t i = nc * plane_out; i < (nc + 1) * plane_out; ++i)
-        pi[argmax_[static_cast<size_t>(i)]] += pg[i];
     }
   });
   return grad_input;

@@ -19,13 +19,7 @@ ConvNet::ConvNet(const ConvNetConfig& config, Rng& rng) : config_(config) {
     DECO_CHECK(h % 2 == 0 && w % 2 == 0,
                "ConvNet: image size must halve cleanly at block " +
                    std::to_string(d));
-    if (config.pooling == Pooling::kAvg) {
-      encoder_.add(std::make_unique<NormReluPool>(config.width));
-    } else {
-      encoder_.add(std::make_unique<InstanceNorm2d>(config.width));
-      encoder_.add(std::make_unique<ReLU>());
-      encoder_.add(std::make_unique<MaxPool2d>(2));
-    }
+    encoder_.add(std::make_unique<NormReluPool>(config.width));
     c = config.width;
     h /= 2;
     w /= 2;

@@ -222,23 +222,4 @@ SoftCrossEntropyResult soft_cross_entropy(const Tensor& logits,
   return res;
 }
 
-MseResult mse_loss(const Tensor& pred, const Tensor& target) {
-  DECO_CHECK(pred.numel() == target.numel(), "mse_loss: numel mismatch");
-  MseResult res;
-  res.grad_pred = Tensor(pred.shape());
-  const float* pp = pred.data();
-  const float* pt = target.data();
-  float* pg = res.grad_pred.data();
-  const int64_t n = pred.numel();
-  const float inv_n = 1.0f / static_cast<float>(n);
-  double loss = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    const float diff = pp[i] - pt[i];
-    loss += static_cast<double>(diff) * diff;
-    pg[i] = 2.0f * diff * inv_n;
-  }
-  res.loss = static_cast<float>(loss) * inv_n;
-  return res;
-}
-
 }  // namespace deco::nn

@@ -1,6 +1,6 @@
 #include "deco/nn/optim.h"
 
-#include <cmath>
+#include <utility>
 
 #include "deco/tensor/check.h"
 
@@ -46,48 +46,6 @@ void SgdMomentum::zero_grad() {
 
 void SgdMomentum::reset_state() {
   for (Tensor& v : velocity_) v.zero();
-}
-
-Adam::Adam(std::vector<ParamRef> params, float lr, float beta1, float beta2,
-           float eps)
-    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const ParamRef& p : params_) {
-    DECO_CHECK(p.value != nullptr && p.grad != nullptr, "Adam: null parameter");
-    m_.emplace_back(p.value->shape());
-    v_.emplace_back(p.value->shape());
-  }
-}
-
-void Adam::step() {
-  ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  for (size_t i = 0; i < params_.size(); ++i) {
-    float* m = m_[i].data();
-    float* v = v_[i].data();
-    float* w = params_[i].value->data();
-    const float* g = params_[i].grad->data();
-    const int64_t n = params_[i].value->numel();
-    for (int64_t j = 0; j < n; ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-      const float mhat = m[j] / bc1;
-      const float vhat = v[j] / bc2;
-      w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
-  }
-}
-
-void Adam::zero_grad() {
-  for (ParamRef& p : params_) p.grad->zero();
-}
-
-void Adam::reset_state() {
-  for (Tensor& t : m_) t.zero();
-  for (Tensor& t : v_) t.zero();
-  t_ = 0;
 }
 
 }  // namespace deco::nn

@@ -29,9 +29,6 @@ std::unique_ptr<condense::Condenser> condenser_for(
   if (m == "dm")
     return std::make_unique<condense::DmCondenser>(mc, condense::DmConfig{},
                                                    seed);
-  if (m == "mtt")
-    return std::make_unique<condense::MttCondenser>(mc, condense::MttConfig{},
-                                                    seed);
   return nullptr;
 }
 
@@ -39,7 +36,7 @@ std::unique_ptr<condense::Condenser> condenser_for(
 
 const std::vector<std::string>& session_methods() {
   static const std::vector<std::string> names = {
-      "deco",   "dc",   "dsa",          "dm",      "mtt", "upper_bound",
+      "deco",   "dc",   "dsa",          "dm",      "upper_bound",
       "random", "fifo", "selective_bp", "kcenter", "gss"};
   return names;
 }

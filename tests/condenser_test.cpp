@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 
 #include "deco/core/telemetry.h"
@@ -207,8 +209,11 @@ TEST(DmCondenserTest, MovesSyntheticTowardClassMeans) {
 TEST(CondenserTimingTest, DecoIsMuchFasterThanDc) {
   // Table II's core claim: one-step DECO ≈ 10× faster than bilevel DC at the
   // paper's settings (L=10 vs K·T matching steps + inner model training).
-  Fixture f;
-  auto time_it = [&](Condenser& c) {
+  // Each condenser runs 3 times, alternating, each on a fresh fixture; the
+  // fastest run of each is compared, so a load spike on the host during one
+  // run cannot decide the verdict.
+  auto time_it = [](Condenser& c) {
+    Fixture f;
     auto ctx = f.context();
     const auto t0 = std::chrono::steady_clock::now();
     c.condense(ctx);
@@ -221,9 +226,14 @@ TEST(CondenserTimingTest, DecoIsMuchFasterThanDc) {
   DecoCondenser deco(small_config(), dcfg, 19);
   BilevelConfig bcfg;  // paper-like: 2 outer × 10 inner + model steps
   BilevelCondenser dc(small_config(), bcfg, 20);
-  const double t_deco = time_it(deco);
-  const double t_dc = time_it(dc);
-  EXPECT_GT(t_dc, 2.0 * t_deco);  // conservative bound for CI noise
+  double t_deco = std::numeric_limits<double>::infinity();
+  double t_dc = t_deco;
+  for (int run = 0; run < 3; ++run) {
+    t_deco = std::min(t_deco, time_it(deco));
+    t_dc = std::min(t_dc, time_it(dc));
+  }
+  EXPECT_GT(t_dc, 2.0 * t_deco)  // conservative bound for CI noise
+      << "fastest of 3: deco " << t_deco << " s, dc " << t_dc << " s";
 }
 
 TEST(CondenserTimingTest, DecoDoesFarFewerGemmFlopsThanDc) {

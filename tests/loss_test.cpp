@@ -137,24 +137,5 @@ TEST(FeatureDiscriminationTest, RejectsNegativeEqualToAnchorClass) {
       feature_discrimination_loss(emb, {0, 0}, {0}, {0}, 0.07f), Error);
 }
 
-// ---- MSE ----------------------------------------------------------------------
-
-TEST(MseTest, ValueAndGradient) {
-  Tensor pred({2}, {1, 3});
-  Tensor target({2}, {0, 1});
-  auto res = mse_loss(pred, target);
-  EXPECT_FLOAT_EQ(res.loss, (1.0f + 4.0f) / 2.0f);
-  EXPECT_FLOAT_EQ(res.grad_pred[0], 2.0f * 1.0f / 2.0f);
-  EXPECT_FLOAT_EQ(res.grad_pred[1], 2.0f * 2.0f / 2.0f);
-}
-
-TEST(MseTest, ZeroAtTarget) {
-  Rng rng(7);
-  Tensor t = random_tensor({5}, rng);
-  auto res = mse_loss(t, t);
-  EXPECT_EQ(res.loss, 0.0f);
-  EXPECT_EQ(res.grad_pred.norm(), 0.0f);
-}
-
 }  // namespace
 }  // namespace deco::nn

@@ -2,17 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "test_util.h"
-
 namespace deco::nn {
 namespace {
 
-// Minimizes f(w) = 0.5·‖w − target‖² with an optimizer; gradient = w − target.
-template <typename Opt>
-float optimize_quadratic(Opt& opt, Tensor& w, Tensor& g, const Tensor& target,
-                         int steps) {
+// Minimizes f(w) = 0.5·‖w − target‖² with SGD; gradient = w − target.
+float optimize_quadratic(SgdMomentum& opt, Tensor& w, Tensor& g,
+                         const Tensor& target, int steps) {
   for (int s = 0; s < steps; ++s) {
     for (int64_t i = 0; i < w.numel(); ++i) g[i] = w[i] - target[i];
     opt.step();
@@ -72,34 +67,6 @@ TEST(SgdTest, ResetStateClearsMomentum) {
   w.fill(0.0f);
   opt.step();  // without history: w = -1 again, not -1.9
   EXPECT_FLOAT_EQ(w[0], -1.0f);
-}
-
-TEST(AdamTest, ConvergesOnQuadratic) {
-  Tensor w({4}, {5, -3, 2, 9});
-  Tensor g({4});
-  Tensor target({4}, {1, 1, 1, 1});
-  Adam opt({ParamRef{"w", &w, &g}}, 0.2f);
-  EXPECT_LT(optimize_quadratic(opt, w, g, target, 300), 1e-2f);
-}
-
-TEST(AdamTest, FirstStepIsLrSized) {
-  Tensor w({1}, {0.0f});
-  Tensor g({1}, {100.0f});  // magnitude-invariant first step
-  Adam opt({ParamRef{"w", &w, &g}}, 0.01f);
-  opt.step();
-  EXPECT_NEAR(w[0], -0.01f, 1e-4f);
-}
-
-TEST(AdamTest, ResetStateRestartsBiasCorrection) {
-  Tensor w({1}, {0.0f});
-  Tensor g({1}, {1.0f});
-  Adam opt({ParamRef{"w", &w, &g}}, 0.01f);
-  opt.step();
-  const float after_first = w[0];
-  opt.reset_state();
-  w.fill(0.0f);
-  opt.step();
-  EXPECT_NEAR(w[0], after_first, 1e-6f);
 }
 
 }  // namespace

@@ -88,9 +88,18 @@ TEST(RunnerTest, UnknownMethodThrows) {
     // The message lists every valid name, including the non-replay ones.
     const std::string msg = e.what();
     EXPECT_NE(msg.find("definitely_not_a_method"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("mtt"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("dm"), std::string::npos) << msg;
     EXPECT_NE(msg.find("upper_bound"), std::string::npos) << msg;
   }
+}
+
+TEST(RunnerTest, MttIsNotASessionMethod) {
+  // Trajectory matching is not among the paper's methods, so no learner
+  // builds it.
+  runtime::SessionRecipe recipe;
+  recipe.method = "mtt";
+  EXPECT_THROW(recipe.validate(), Error);
+  EXPECT_EQ(runtime::session_methods().size(), 10u);
 }
 
 TEST(RunnerTest, DcRunsEndToEndSmall) {

@@ -391,7 +391,7 @@ TEST(ScenarioHarness, RejectsUnknownMethodAndBadOptions) {
     FAIL() << "unknown method accepted";
   } catch (const Error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("mtt"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("dm"), std::string::npos) << msg;
     EXPECT_NE(msg.find("upper_bound"), std::string::npos) << msg;
   }
   scenario::HarnessOptions bad = tiny_options();

@@ -1,6 +1,6 @@
 // Seed-lineage golden test: every place that builds a learner session —
 // eval::run_experiment, scenario::run_cell and runtime::Fleet::make_learner —
-// runs a tiny fixed-seed workload for each of the 11 method names, and its
+// runs a tiny fixed-seed workload for each of the 10 method names, and its
 // scalar outputs are pinned against the committed fixture
 // tests/golden/session_lineage.txt at 1e-6 tolerance. The fixture records
 // each builder's seed lineage (labeled set, model init, pre-training,
@@ -44,7 +44,7 @@ std::string golden_path() {
 
 const std::vector<std::string>& all_methods() {
   static const std::vector<std::string> m = {
-      "deco",   "dc",   "dsa",          "dm",      "mtt", "upper_bound",
+      "deco",   "dc",   "dsa",          "dm",      "upper_bound",
       "random", "fifo", "selective_bp", "kcenter", "gss"};
   return m;
 }
