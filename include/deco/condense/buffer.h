@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "deco/data/dataset.h"
-#include "deco/nn/module.h"
 #include "deco/tensor/dtype.h"
 #include "deco/tensor/rng.h"
 #include "deco/tensor/tensor.h"
@@ -59,10 +58,6 @@ class SyntheticBuffer {
   /// Labels for a row selection.
   std::vector<int64_t> gather_labels(const std::vector<int64_t>& rows) const;
 
-  /// Exposes (images, grads) as a ParamRef so standard optimizers can drive
-  /// the buffer (opt_S in the paper).
-  nn::ParamRef as_param();
-
   // ---- learnable soft labels (extension) -----------------------------------
   // Each row optionally carries label *logits* whose row-softmax is the
   // sample's class distribution — the learnable-soft-label extension of
@@ -93,7 +88,7 @@ class SyntheticBuffer {
   // ---- quantized storage (deco.cache_dtype) --------------------------------
   // Under a non-fp32 policy the cache's canonical form is a quantized
   // QTensor; images_ is its fp32 *working copy* (condensers optimize raw
-  // floats through as_param()/gather/scatter). commit_storage() re-encodes
+  // floats through gather/scatter). commit_storage() re-encodes
   // the working copy and refreshes it to exactly the decoded values, so the
   // invariant "images() == decode(stored_images())" holds at every segment
   // boundary and save/load round-trips are byte-identical on the stored

@@ -21,7 +21,4 @@ void perturb_params(nn::Module& m, const GradVec& direction, float eps);
 /// Euclidean norm over the concatenation of all tensors.
 float global_norm(const GradVec& g);
 
-/// Sum of element counts.
-int64_t total_numel(const GradVec& g);
-
 }  // namespace deco::condense

@@ -53,19 +53,12 @@ class GradientMatcher {
                         const std::vector<int64_t>& y_real,
                         const std::vector<float>& w_real);
 
-  /// Siamese-augmented matching step (DSA): the same sampled transform is
-  /// applied to both batches; the returned gradient is w.r.t. the
-  /// *unaugmented* synthetic pixels (chain rule through the augmentation).
-  MatchResult match_augmented(const Tensor& x_syn,
-                              const std::vector<int64_t>& y_syn,
-                              const Tensor& x_real,
-                              const std::vector<int64_t>& y_real,
-                              const std::vector<float>& w_real,
-                              const augment::SiameseAugment& aug, Rng& rng);
-
-  /// Augmented matching with externally sampled transform parameters. Lets a
-  /// caller draw the per-class augmentation params serially (keeping the rng
-  /// stream order fixed) and then run the matching passes on worker threads.
+  /// Siamese-augmented matching step (DSA): the transform `params` (drawn by
+  /// the caller with aug.sample) is applied to both batches; the returned
+  /// gradient is w.r.t. the *unaugmented* synthetic pixels (chain rule
+  /// through the augmentation). Sampling outside lets a caller draw the
+  /// per-class params serially (keeping the rng stream order fixed) and then
+  /// run the matching passes on worker threads.
   MatchResult match_with_params(const Tensor& x_syn,
                                 const std::vector<int64_t>& y_syn,
                                 const Tensor& x_real,

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "deco/tensor/rng.h"
 #include "deco/tensor/tensor.h"
 
 namespace deco::data {
@@ -39,9 +38,6 @@ class Dataset {
 
   /// All indices whose label equals `cls`.
   std::vector<int64_t> indices_of_class(int64_t cls) const;
-
-  /// Uniformly samples `k` indices without replacement.
-  std::vector<int64_t> sample_indices(int64_t k, Rng& rng) const;
 
  private:
   int64_t channels_, height_, width_;

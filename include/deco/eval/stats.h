@@ -2,15 +2,13 @@
 //
 // The effects the paper sweeps (e.g. Fig. 4b's ~1-point α effect) are small
 // relative to seed-to-seed variance at reduced scale, so the bench harness
-// needs more than mean ± std: numerically stable running moments (Welford),
-// bootstrap confidence intervals, and *paired* comparisons that exploit the
-// common-random-numbers design of the sweeps (same seeds across settings).
+// needs more than mean ± std: numerically stable running moments (Welford)
+// and *paired* comparisons that exploit the common-random-numbers design of
+// the sweeps (same seeds across settings).
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "deco/tensor/rng.h"
 
 namespace deco::eval {
 
@@ -35,14 +33,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Percentile-bootstrap confidence interval for the mean.
-struct Interval {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-Interval bootstrap_mean_ci(const std::vector<double>& values, double confidence,
-                           int64_t resamples, Rng& rng);
 
 /// Paired comparison of two equal-length result vectors (common seeds):
 /// statistics of the per-seed differences b[i] − a[i].

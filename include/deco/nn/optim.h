@@ -29,9 +29,6 @@ class SgdMomentum {
   /// Zeroes all registered gradient accumulators.
   void zero_grad();
 
-  /// Resets momentum buffers (used when the model is re-initialized).
-  void reset_state();
-
  private:
   std::vector<ParamRef> params_;
   std::vector<Tensor> velocity_;

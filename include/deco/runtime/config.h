@@ -71,9 +71,6 @@ class ConfigMap {
   // Typed single-key getters; the key is marked consumed. Malformed values
   // throw deco::Error naming the key.
   int64_t get_int(const std::string& key, int64_t fallback);
-  double get_double(const std::string& key, double fallback);
-  bool get_bool(const std::string& key, bool fallback);
-  std::string get_string(const std::string& key, const std::string& fallback);
   /// "fp32" | "fp16" | "int8"; bad values throw naming the key.
   DType get_dtype(const std::string& key, DType fallback);
 

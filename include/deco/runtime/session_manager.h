@@ -99,9 +99,8 @@ class SessionManager {
   /// number of producers may submit concurrently.
   bool submit(const std::string& name, Tensor segment);
 
-  /// Closes one session's ingest queue: already-queued segments still get
+  /// Closes every session's ingest queue: already-queued segments still get
   /// processed, further submits return false.
-  void close_session(const std::string& name);
   void close_all();
 
   /// Runs one DRR scheduler round: every active session with queued work

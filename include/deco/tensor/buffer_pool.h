@@ -37,10 +37,6 @@ class FloatStore {
   int64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Resizes to `n` floats, zero-filling the contents (existing values are
-  /// NOT preserved). Reuses the current buffer when its bucket suffices.
-  void assign_zero(int64_t n);
-
  private:
   // Sets ptr_/cap_ for >= n floats, size_ = n; zero-fills when `zero`.
   void acquire(int64_t n, bool zero);

@@ -22,8 +22,6 @@ namespace deco {
 /// out = A[m,k] * B[k,n]
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
 Tensor matmul(const Tensor& a, const Tensor& b);
-/// out += A[m,k] * B[k,n]; out must already be [m,n].
-void matmul_acc_into(const Tensor& a, const Tensor& b, Tensor& out);
 
 /// out = A[k,m]^T * B[k,n]  (i.e. out[m,n] = sum_k A[k,m]*B[k,n])
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out);
@@ -116,12 +114,6 @@ std::vector<float> max_rows(const Tensor& t);
 
 /// Cosine similarity of flattened tensors; returns 0 when either norm is ~0.
 float cosine_similarity(const Tensor& a, const Tensor& b);
-
-/// out = a - b (shapes must match).
-void sub_into(const Tensor& a, const Tensor& b, Tensor& out);
-
-/// Copies `src` into `dst`, resizing `dst` to match.
-void copy_into(const Tensor& src, Tensor& dst);
 
 /// Extracts row `r` of a 2-D tensor as a 1-D tensor.
 Tensor row(const Tensor& t, int64_t r);

@@ -36,8 +36,6 @@ class Tensor {
   // ---- factories -----------------------------------------------------------
   static Tensor zeros(std::vector<int64_t> shape);
   static Tensor full(std::vector<int64_t> shape, float value);
-  /// 1-D tensor [0, 1, ..., n-1].
-  static Tensor arange(int64_t n);
 
   // ---- shape ---------------------------------------------------------------
   const std::vector<int64_t>& shape() const { return shape_; }

@@ -182,10 +182,6 @@ void SyntheticBuffer::scatter_add_label_grad_from_targets(
   }
 }
 
-nn::ParamRef SyntheticBuffer::as_param() {
-  return nn::ParamRef{"synthetic_buffer", &images_, &grads_};
-}
-
 void SyntheticBuffer::clamp_pixels() { images_.clamp_(0.0f, 1.0f); }
 
 void SyntheticBuffer::set_storage(DType dtype, int64_t block) {

@@ -29,10 +29,4 @@ float global_norm(const GradVec& g) {
   return static_cast<float>(std::sqrt(acc));
 }
 
-int64_t total_numel(const GradVec& g) {
-  int64_t n = 0;
-  for (const Tensor& t : g) n += t.numel();
-  return n;
-}
-
 }  // namespace deco::condense

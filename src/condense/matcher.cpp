@@ -103,15 +103,6 @@ GradientMatcher::SoftResult GradientMatcher::match_soft(
   return res;
 }
 
-MatchResult GradientMatcher::match_augmented(
-    const Tensor& x_syn, const std::vector<int64_t>& y_syn, const Tensor& x_real,
-    const std::vector<int64_t>& y_real, const std::vector<float>& w_real,
-    const augment::SiameseAugment& aug, Rng& rng) {
-  const augment::AugmentParams params =
-      aug.sample(rng, x_syn.dim(2), x_syn.dim(3));
-  return match_impl(x_syn, y_syn, x_real, y_real, w_real, &aug, &params);
-}
-
 MatchResult GradientMatcher::match_with_params(
     const Tensor& x_syn, const std::vector<int64_t>& y_syn, const Tensor& x_real,
     const std::vector<int64_t>& y_real, const std::vector<float>& w_real,

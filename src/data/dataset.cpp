@@ -50,8 +50,4 @@ std::vector<int64_t> Dataset::indices_of_class(int64_t cls) const {
   return out;
 }
 
-std::vector<int64_t> Dataset::sample_indices(int64_t k, Rng& rng) const {
-  return rng.sample_without_replacement(size(), k);
-}
-
 }  // namespace deco::data

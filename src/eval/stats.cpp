@@ -30,32 +30,6 @@ double RunningStats::sem() const {
   return n_ > 0 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
 }
 
-Interval bootstrap_mean_ci(const std::vector<double>& values, double confidence,
-                           int64_t resamples, Rng& rng) {
-  DECO_CHECK(!values.empty(), "bootstrap_mean_ci: empty sample");
-  DECO_CHECK(confidence > 0.0 && confidence < 1.0,
-             "bootstrap_mean_ci: confidence must be in (0, 1)");
-  DECO_CHECK(resamples >= 10, "bootstrap_mean_ci: need at least 10 resamples");
-  const int64_t n = static_cast<int64_t>(values.size());
-  std::vector<double> means;
-  means.reserve(static_cast<size_t>(resamples));
-  for (int64_t r = 0; r < resamples; ++r) {
-    double acc = 0.0;
-    for (int64_t i = 0; i < n; ++i)
-      acc += values[static_cast<size_t>(rng.uniform_int(n))];
-    means.push_back(acc / static_cast<double>(n));
-  }
-  std::sort(means.begin(), means.end());
-  const double alpha = (1.0 - confidence) / 2.0;
-  const auto pick = [&](double q) {
-    const int64_t idx = std::clamp<int64_t>(
-        static_cast<int64_t>(q * static_cast<double>(resamples - 1)), 0,
-        resamples - 1);
-    return means[static_cast<size_t>(idx)];
-  };
-  return {pick(alpha), pick(1.0 - alpha)};
-}
-
 PairedComparison paired_compare(const std::vector<double>& a,
                                 const std::vector<double>& b) {
   DECO_CHECK(a.size() == b.size() && !a.empty(),

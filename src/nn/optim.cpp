@@ -44,8 +44,4 @@ void SgdMomentum::zero_grad() {
   for (ParamRef& p : params_) p.grad->zero();
 }
 
-void SgdMomentum::reset_state() {
-  for (Tensor& v : velocity_) v.zero();
-}
-
 }  // namespace deco::nn

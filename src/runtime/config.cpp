@@ -207,28 +207,6 @@ int64_t ConfigMap::get_int(const std::string& key, int64_t fallback) {
   return to_int(*e);
 }
 
-double ConfigMap::get_double(const std::string& key, double fallback) {
-  Entry* e = find(key);
-  if (e == nullptr) return fallback;
-  e->consumed = true;
-  return to_double(*e);
-}
-
-bool ConfigMap::get_bool(const std::string& key, bool fallback) {
-  Entry* e = find(key);
-  if (e == nullptr) return fallback;
-  e->consumed = true;
-  return to_bool(*e);
-}
-
-std::string ConfigMap::get_string(const std::string& key,
-                                  const std::string& fallback) {
-  Entry* e = find(key);
-  if (e == nullptr) return fallback;
-  e->consumed = true;
-  return e->value;
-}
-
 namespace {
 /// Converts one entry's value to a DType, naming the key on bad values.
 DType to_dtype(const std::string& key, const std::string& value) {

@@ -88,10 +88,6 @@ bool SessionManager::submit(const std::string& name, Tensor segment) {
   return accepted;
 }
 
-void SessionManager::close_session(const std::string& name) {
-  find_or_throw(name).queue->close();
-}
-
 void SessionManager::close_all() {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   for (const auto& s : sessions_) s->queue->close();

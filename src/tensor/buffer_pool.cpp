@@ -141,21 +141,6 @@ FloatStore& FloatStore::operator=(FloatStore&& other) noexcept {
 
 FloatStore::~FloatStore() { release(); }
 
-void FloatStore::assign_zero(int64_t n) {
-  DECO_CHECK(n >= 0, "FloatStore: negative size");
-  if (n == 0) {
-    release();
-    return;
-  }
-  if (cap_ < n) {
-    release();
-    acquire(n, /*zero=*/true);
-    return;
-  }
-  size_ = n;
-  std::memset(ptr_, 0, static_cast<size_t>(n) * sizeof(float));
-}
-
 void FloatStore::acquire(int64_t n, bool zero) {
   DECO_CHECK(n >= 0, "FloatStore: negative size");
   if (n == 0) return;

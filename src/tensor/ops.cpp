@@ -104,16 +104,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-void matmul_acc_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  DECO_CHECK(a.ndim() == 2 && b.ndim() == 2, "matmul_acc: inputs must be 2-D");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  DECO_CHECK(b.dim(0) == k, "matmul_acc: inner dims differ: " + a.shape_str() +
-                                " x " + b.shape_str());
-  check_acc_shape(out, m, n, "matmul_acc");
-  detail::gemm_strided(m, n, k, a.data(), k, 1, b.data(), n, 1, out.data(),
-                       /*accumulate=*/true);
-}
-
 void matmul_tn_into(const Tensor& a, const Tensor& b, Tensor& out) {
   DECO_CHECK(a.ndim() == 2 && b.ndim() == 2, "matmul_tn: inputs must be 2-D");
   const int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
@@ -399,26 +389,6 @@ float cosine_similarity(const Tensor& a, const Tensor& b) {
   const float na = a.norm(), nb = b.norm();
   if (na < 1e-12f || nb < 1e-12f) return 0.0f;
   return dot(a, b) / (na * nb);
-}
-
-void sub_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  DECO_CHECK(a.numel() == b.numel(), "sub_into: numel mismatch");
-  ensure_shape(out, a.shape());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  core::parallel_for(0, a.numel(), 1 << 16, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) po[i] = pa[i] - pb[i];
-  });
-}
-
-void copy_into(const Tensor& src, Tensor& dst) {
-  ensure_shape(dst, src.shape());
-  const float* ps = src.data();
-  float* pd = dst.data();
-  core::parallel_for(0, src.numel(), 1 << 17, [&](int64_t i0, int64_t i1) {
-    std::copy(ps + i0, ps + i1, pd + i0);
-  });
 }
 
 Tensor row(const Tensor& t, int64_t r) {

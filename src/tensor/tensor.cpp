@@ -44,13 +44,6 @@ Tensor Tensor::full(std::vector<int64_t> shape, float value) {
   return t;
 }
 
-Tensor Tensor::arange(int64_t n) {
-  DECO_CHECK(n >= 0, "arange length must be non-negative");
-  Tensor t({n});
-  for (int64_t i = 0; i < n; ++i) t[i] = static_cast<float>(i);
-  return t;
-}
-
 int64_t Tensor::dim(int64_t i) const {
   DECO_CHECK(i >= 0 && i < ndim(), "dimension index out of range for " + shape_str());
   return shape_[static_cast<size_t>(i)];

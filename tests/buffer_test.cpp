@@ -84,15 +84,6 @@ TEST(BufferTest, RowsOfClassesConcatenates) {
   EXPECT_EQ(rows, (std::vector<int64_t>{2, 3, 6, 7}));
 }
 
-TEST(BufferTest, AsParamExposesWholeBuffer) {
-  SyntheticBuffer buf(2, 1, 1, 2, 2);
-  auto p = buf.as_param();
-  EXPECT_EQ(p.value->numel(), buf.images().numel());
-  EXPECT_EQ(p.grad->numel(), buf.grads().numel());
-  (*p.value)[0] = 42.0f;
-  EXPECT_EQ(buf.images()[0], 42.0f);
-}
-
 TEST(BufferTest, ClampPixels) {
   SyntheticBuffer buf(1, 1, 1, 2, 2);
   buf.images()[0] = -5.0f;

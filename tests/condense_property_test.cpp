@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 
 #include "deco/condense/method.h"
 #include "deco/data/world.h"
@@ -16,8 +17,11 @@ namespace {
 struct SweepCase {
   int64_t ipc;
   int64_t num_classes;
-  int condenser;  // 0 = DECO, 1 = DC, 2 = DSA, 3 = DM
+  int64_t condenser;  // 0 = DECO, 1 = DC, 2 = DSA, 3 = DM
 };
+// gtest prints the parameter's raw bytes into each test name; with no padding
+// those bytes, and so the names, are the same in every build.
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   const char* names[] = {"DECO", "DC", "DSA", "DM"};

@@ -126,7 +126,6 @@ TEST(GradUtilsTest, CloneAndPerturbRoundTrip) {
   GradVec g = clone_grads(net);
   EXPECT_EQ(static_cast<size_t>(g.size()), net.parameters().size());
   EXPECT_GT(global_norm(g), 0.0f);
-  EXPECT_EQ(total_numel(g), net.num_params());
 
   // Perturb +eps then −eps must restore parameters exactly enough.
   Tensor before = *net.parameters()[0].value;

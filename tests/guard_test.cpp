@@ -147,7 +147,9 @@ TEST(GuardIntegrationTest, FaultyStreamRunCompletesWithFiniteBuffer) {
     quarantined += rep.frames_quarantined;
     // Quarantined frames report the sentinel label and zero confidence.
     for (size_t i = 0; i < rep.pseudo_labels.size(); ++i) {
-      if (rep.pseudo_labels[i] == -1) EXPECT_EQ(rep.confidences[i], 0.0f);
+      if (rep.pseudo_labels[i] == -1) {
+        EXPECT_EQ(rep.confidences[i], 0.0f);
+      }
     }
   }
   EXPECT_GT(faulty.log().nan_bursts, 0);

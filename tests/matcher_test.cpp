@@ -165,8 +165,9 @@ TEST(MatcherTest, AugmentedMatchProducesFiniteGradients) {
   augment::SiameseAugment aug("flip_shift_scale_rotate_color_cutout");
   GradientMatcher matcher(model);
   for (int i = 0; i < 10; ++i) {
-    MatchResult res = matcher.match_augmented(x_syn, {0, 1}, x_real,
-                                              {0, 0, 1, 1}, {}, aug, rng);
+    MatchResult res = matcher.match_with_params(
+        x_syn, {0, 1}, x_real, {0, 0, 1, 1}, {}, aug,
+        aug.sample(rng, x_syn.dim(2), x_syn.dim(3)));
     EXPECT_EQ(res.grad_syn.shape(), x_syn.shape());
     for (int64_t j = 0; j < res.grad_syn.numel(); ++j)
       EXPECT_TRUE(std::isfinite(res.grad_syn[j]));

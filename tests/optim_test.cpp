@@ -58,16 +58,5 @@ TEST(SgdTest, ZeroGradClearsAccumulators) {
   EXPECT_EQ(g.norm(), 0.0f);
 }
 
-TEST(SgdTest, ResetStateClearsMomentum) {
-  Tensor w({1}, {0.0f});
-  Tensor g({1}, {1.0f});
-  SgdMomentum opt({ParamRef{"w", &w, &g}}, 1.0f, 0.9f);
-  opt.step();
-  opt.reset_state();
-  w.fill(0.0f);
-  opt.step();  // without history: w = -1 again, not -1.9
-  EXPECT_FLOAT_EQ(w[0], -1.0f);
-}
-
 }  // namespace
 }  // namespace deco::nn

@@ -75,9 +75,11 @@ TEST(PseudoLabelTest, SegmentLabelingIsConsistent) {
   // And no non-retained sample has an active label.
   std::vector<bool> retained_mask(8, false);
   for (int64_t i : res.retained) retained_mask[static_cast<size_t>(i)] = true;
-  for (size_t i = 0; i < 8; ++i)
-    if (!retained_mask[i])
+  for (size_t i = 0; i < 8; ++i) {
+    if (!retained_mask[i]) {
       EXPECT_FALSE(is_active[static_cast<size_t>(res.labels[i])]);
+    }
+  }
 }
 
 TEST(PseudoLabelTest, ThresholdMonotonicity) {

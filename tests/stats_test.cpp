@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "deco/tensor/check.h"
+#include "deco/tensor/rng.h"
 
 namespace deco::eval {
 namespace {
@@ -35,35 +36,6 @@ TEST(RunningStatsTest, NumericallyStableWithLargeOffsets) {
   const double base = 1e9;
   for (double v : {base + 1.0, base + 2.0, base + 3.0}) s.add(v);
   EXPECT_NEAR(s.variance(), 1.0, 1e-6);
-}
-
-TEST(BootstrapTest, CoversTrueMeanOfTightSample) {
-  Rng rng(1);
-  std::vector<double> values;
-  for (int i = 0; i < 40; ++i) values.push_back(10.0 + 0.5 * rng.normal());
-  Interval ci = bootstrap_mean_ci(values, 0.95, 2000, rng);
-  EXPECT_LT(ci.lo, 10.0 + 0.3);
-  EXPECT_GT(ci.hi, 10.0 - 0.3);
-  EXPECT_LT(ci.lo, ci.hi);
-  // Interval should be narrow for 40 samples of std 0.5 (SEM ≈ 0.08).
-  EXPECT_LT(ci.hi - ci.lo, 0.6);
-}
-
-TEST(BootstrapTest, WiderConfidenceGivesWiderInterval) {
-  Rng rng(2);
-  std::vector<double> values;
-  for (int i = 0; i < 25; ++i) values.push_back(rng.normal());
-  Rng rng_a(3), rng_b(3);
-  Interval narrow = bootstrap_mean_ci(values, 0.5, 2000, rng_a);
-  Interval wide = bootstrap_mean_ci(values, 0.99, 2000, rng_b);
-  EXPECT_GE(wide.hi - wide.lo, narrow.hi - narrow.lo);
-}
-
-TEST(BootstrapTest, RejectsBadArguments) {
-  Rng rng(4);
-  EXPECT_THROW(bootstrap_mean_ci({}, 0.95, 100, rng), Error);
-  EXPECT_THROW(bootstrap_mean_ci({1.0}, 1.5, 100, rng), Error);
-  EXPECT_THROW(bootstrap_mean_ci({1.0}, 0.95, 5, rng), Error);
 }
 
 TEST(PairedCompareTest, DetectsConsistentSmallEffect) {

@@ -109,9 +109,11 @@ TEST(TelemetryRegistry, HistogramBucketEdgesAreInclusive) {
   // Re-registration with different edges keeps the original layout.
   telem::histogram("test/reg_hist", {1, 2, 3, 4});
   const telem::Snapshot snap2 = telem::snapshot();
-  for (const auto& cand : snap2.histograms)
-    if (cand.name == "test/reg_hist")
+  for (const auto& cand : snap2.histograms) {
+    if (cand.name == "test/reg_hist") {
       EXPECT_EQ(cand.upper_edges, (std::vector<int64_t>{10, 20}));
+    }
+  }
 }
 
 // ---- shard merging under parallel load -------------------------------------
@@ -308,8 +310,11 @@ TEST(TelemetryLifecycle, ResetZeroesEverythingButKeepsHandles) {
   telem::reset();
   const telem::Snapshot snap = telem::snapshot();
   EXPECT_EQ(snap.counter_value("test/reset_counter"), 0);
-  for (const auto& gv : snap.gauges)
-    if (gv.name == "test/reset_gauge") EXPECT_EQ(gv.value, 0);
+  for (const auto& gv : snap.gauges) {
+    if (gv.name == "test/reset_gauge") {
+      EXPECT_EQ(gv.value, 0);
+    }
+  }
   const telem::SpanAggregate* agg = snap.span("test/reset_span");
   ASSERT_NE(agg, nullptr);  // the registration survives
   EXPECT_EQ(agg->count, 0);

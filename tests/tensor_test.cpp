@@ -39,9 +39,6 @@ TEST(TensorTest, ValueConstructionRejectsMismatchedSize) {
 TEST(TensorTest, FullAndArange) {
   Tensor f = Tensor::full({3}, 2.5f);
   EXPECT_EQ(f.sum(), 7.5f);
-  Tensor a = Tensor::arange(4);
-  EXPECT_EQ(a[0], 0.0f);
-  EXPECT_EQ(a[3], 3.0f);
 }
 
 TEST(TensorTest, CopyIsDeep) {
