@@ -28,7 +28,10 @@
 //     plus the conv kernels Conv2d runs in the paper-config ConvNet
 //     (conv_forward_into, conv_weight_grad_acc_into, conv_input_grad_into),
 //     each against the naive loop over the same product's materialized
-//     operands, ms and GFLOP/s, single-threaded so runs compare across PRs;
+//     operands, ms and GFLOP/s; then NormReluPool's forward and backward at
+//     the ConvNet's 16×16 and 8×8 planes against the unfused InstanceNorm2d
+//     → ReLU → AvgPool2d(2) layers, ms only (no gate). Single-threaded, so
+//     runs compare across PRs;
 //   * BENCH_telemetry.json — the measured telemetry overhead, the memory one
 //     steady-state learner step holds (workspace high water and tensor-pool
 //     bytes; informational, for diffing across changes) plus the full
@@ -48,6 +51,7 @@
 #include "deco/core/workspace.h"
 #include "deco/data/world.h"
 #include "deco/nn/convnet.h"
+#include "deco/nn/layers.h"
 #include "deco/tensor/buffer_pool.h"
 #include "deco/tensor/ops.h"
 #include "deco/tensor/rng.h"
@@ -139,6 +143,41 @@ struct ConvLayer {
   int64_t pixels() const { return dy_mat.dim(1); }
 };
 
+// One NormReluPool row: the fused block (`fused`) against the three layers
+// it replaces (`unfused`), on the same [n, c, h, w] input.
+struct BlockRow {
+  std::string name;
+  std::string op;
+  std::vector<int64_t> shape;
+  std::function<void()> fused;
+  std::function<void()> unfused;
+};
+
+// A NormReluPool and the unfused InstanceNorm2d → ReLU → AvgPool2d(2) stack
+// at one shape, both run forward once so either backward can be timed alone.
+struct BlockLayers {
+  Tensor x, dy;
+  nn::NormReluPool block;
+  nn::InstanceNorm2d norm;
+  nn::ReLU relu;
+  nn::AvgPool2d pool{2};
+
+  BlockLayers(const std::vector<int64_t>& shape, Rng& rng)
+      : x(shape),
+        dy({shape[0], shape[1], shape[2] / 2, shape[3] / 2}),
+        block(shape[1]),
+        norm(shape[1]) {
+    rng.fill_normal(x, 0, 1);
+    rng.fill_normal(dy, 0, 1);
+    forward_fused();
+    forward_unfused();
+  }
+  void forward_fused() { block.forward(x); }
+  void forward_unfused() { pool.forward(relu.forward(norm.forward(x))); }
+  void backward_fused() { block.backward(dy); }
+  void backward_unfused() { norm.backward(relu.backward(pool.backward(dy))); }
+};
+
 // Times every sweep row packed vs naive, writes BENCH_kernels.json, and
 // gates on the matmul_192 row.
 bool check_gemm_sweep() {
@@ -180,6 +219,20 @@ bool check_gemm_sweep() {
   rows.push_back({"conv2_dx", "conv_dx", l->g.col_rows(), l->pixels(), width,
                   [l] { conv_input_grad_into(l->weight, l->dy, l->g, l->dx); },
                   [l] { naive_gemm(GemmOp::TN, l->weight, l->dy_mat, l->ref_dx); }});
+  // NormReluPool on the first two blocks' conv outputs at the same batch.
+  std::vector<BlockRow> blocks;
+  BlockLayers b1({batch, width, 16, 16}, rng);
+  BlockLayers b2({batch, width, 8, 8}, rng);
+  for (BlockLayers* b : {&b1, &b2}) {
+    const std::string plane =
+        std::to_string(b->x.dim(2)) + "x" + std::to_string(b->x.dim(3));
+    blocks.push_back({"norm_relu_pool_fwd_" + plane, "norm_relu_pool_fwd",
+                      b->x.shape(), [b] { b->forward_fused(); },
+                      [b] { b->forward_unfused(); }});
+    blocks.push_back({"norm_relu_pool_bwd_" + plane, "norm_relu_pool_bwd",
+                      b->x.shape(), [b] { b->backward_fused(); },
+                      [b] { b->backward_unfused(); }});
+  }
 
   std::ofstream js("BENCH_kernels.json");
   js << "{\n  \"threads\": 1,\n  \"shapes\": {\n";
@@ -199,8 +252,7 @@ bool check_gemm_sweep() {
        << ", \"packed_gflops\": " << packed_gflops
        << ", \"naive_ms\": " << naive_ms
        << ", \"naive_gflops\": " << naive_gflops
-       << ", \"speedup\": " << naive_ms / packed_ms << "}"
-       << (i + 1 < rows.size() ? ",\n" : "\n");
+       << ", \"speedup\": " << naive_ms / packed_ms << "},\n";
     std::cout << "[gemm_sweep] " << s.name << ": packed " << packed_ms
               << " ms (" << packed_gflops << " GFLOP/s), naive " << naive_ms
               << " ms (" << naive_gflops << " GFLOP/s), speedup "
@@ -214,6 +266,20 @@ bool check_gemm_sweep() {
         std::cout << "  packed GEMM is below 80% of naive throughput; the "
                      "blocking/packing path has regressed\n";
     }
+  }
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const BlockRow& r = blocks[i];
+    const double fused_ms = time_ms(r.fused);
+    const double unfused_ms = time_ms(r.unfused);
+    js << "    \"" << r.name << "\": {\"op\": \"" << r.op << "\", \"shape\": ["
+       << r.shape[0] << ", " << r.shape[1] << ", " << r.shape[2] << ", "
+       << r.shape[3] << "], \"fused_ms\": " << fused_ms
+       << ", \"unfused_ms\": " << unfused_ms
+       << ", \"speedup\": " << unfused_ms / fused_ms << "}"
+       << (i + 1 < blocks.size() ? ",\n" : "\n");
+    std::cout << "[block_sweep] " << r.name << ": fused " << fused_ms
+              << " ms, unfused " << unfused_ms << " ms, speedup "
+              << unfused_ms / fused_ms << "x\n";
   }
   js << "  }\n}\n";
   if (!js.good()) return false;

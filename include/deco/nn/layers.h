@@ -124,9 +124,11 @@ class InstanceNorm2d : public Module {
 
  protected:
   /// The backward InstanceNorm2d and NormReluPool share, after their shape
-  /// checks: dy_of(block, nc0, scratch) returns the dy of planes
-  /// [nc0, nc0 + block), read from the gradient or built in the block's
-  /// Workspace scratch. Defined in src/nn/norm.cpp, its only user.
+  /// checks: dy_of(block, nc0, xl, scratch) returns the dy of planes
+  /// [nc0, nc0 + block) in the block's Workspace scratch, planes in the
+  /// vector lanes (element i of plane nc0 + b at i·block + b), given their
+  /// x̂ laid out the same way in `xl`; the dx is computed over it in place.
+  /// Defined in src/nn/norm.cpp, its only user.
   template <typename DyOf>
   Tensor backward_planes(GradNeed need, const DyOf& dy_of);
 
@@ -142,12 +144,15 @@ class InstanceNorm2d : public Module {
 };
 
 /// One ConvNet block tail as a single layer: InstanceNorm2d → ReLU →
-/// AvgPool2d(2), run in one pass per plane. Forward keeps only what backward
-/// needs (x̂, inv_std and the ReLU mask), not the norm or ReLU outputs;
-/// backward forms each plane's pooled, masked dy in scratch. Every element
-/// keeps the three layers' arithmetic and summation order, so outputs and
-/// gradients are bitwise those of the unfused stack. Shares InstanceNorm2d's
-/// parameters, their names (norm.gamma, norm.beta) and initialization.
+/// AvgPool2d(2), run in one pass per plane. Forward keeps only x̂ and
+/// inv_std, not the norm or ReLU outputs nor a mask; backward recomputes the
+/// ReLU mask from x̂ with the forward's own γ·x̂ + β test and forms each
+/// block's pooled, masked dy in scratch. The per-plane statistics (mean and
+/// variance forward, Σdy and Σdy·x̂ backward) run 8 planes at a time, one per
+/// vector lane. Every element keeps the three layers' arithmetic and
+/// summation order, so outputs and gradients are bitwise those of the
+/// unfused stack. Shares InstanceNorm2d's parameters, their names
+/// (norm.gamma, norm.beta) and initialization.
 class NormReluPool : public InstanceNorm2d {
  public:
   using InstanceNorm2d::InstanceNorm2d;
@@ -156,9 +161,6 @@ class NormReluPool : public InstanceNorm2d {
   Tensor backward(const Tensor& grad_output,
                   GradNeed need = GradNeed::kAll) override;
   std::string name() const override { return "NormReluPool"; }
-
- private:
-  Tensor mask_;  // 1 where the normalized, affine output is > 0
 };
 
 /// Reshapes [N, C, H, W] to [N, C*H*W].

@@ -13,7 +13,8 @@
 //   * InstanceNorm2d and AvgPool2d forward/backward against the one-plane
 //     loops kept below, with N·C not a multiple of the 8-plane block;
 //   * NormReluPool against InstanceNorm2d → ReLU → AvgPool2d(2), under every
-//     GradNeed;
+//     GradNeed, also with outputs exactly on ReLU's edge; and its forward
+//     takes from the heap only x̂, inv_std and the output;
 //   * Conv2d's dW after two forwards: it must come from the second input.
 #include <gtest/gtest.h>
 
@@ -27,7 +28,9 @@
 
 #include "deco/core/telemetry.h"
 #include "deco/core/thread_pool.h"
+#include "deco/core/workspace.h"
 #include "deco/nn/layers.h"
+#include "deco/tensor/buffer_pool.h"
 #include "deco/tensor/check.h"
 #include "deco/tensor/ops.h"
 #include "test_util.h"
@@ -656,8 +659,57 @@ BlockInput cancelling_block_planes(const std::vector<int64_t>& shape,
   return in;
 }
 
+// NormReluPool against the three layers it fuses: forward, dx and the γ/β
+// gradients, memcmp'd under every GradNeed at 1 and 4 threads.
+void expect_block_matches_unfused(const BlockInput& in) {
+  SCOPED_TRACE("input " + in.x.shape_str());
+  const int64_t C = in.x.dim(1);
+  // The reference: the three layers, backward under kAll, onto gradients
+  // that start non-zero.
+  nn::InstanceNorm2d norm(C);
+  nn::ReLU relu;
+  nn::AvgPool2d pool(2);
+  *param(norm, "norm.gamma").value = in.gamma;
+  *param(norm, "norm.beta").value = in.beta;
+  Rng grads(801);
+  const Tensor start_dgamma = random_tensor({C}, grads);
+  const Tensor start_dbeta = random_tensor({C}, grads);
+  *param(norm, "norm.gamma").grad = start_dgamma;
+  *param(norm, "norm.beta").grad = start_dbeta;
+  const Tensor want_y = pool.forward(relu.forward(norm.forward(in.x)));
+  const Tensor want_dx = norm.backward(relu.backward(pool.backward(in.dy)));
+  const Tensor want_dgamma = *param(norm, "norm.gamma").grad;
+  const Tensor want_dbeta = *param(norm, "norm.beta").grad;
+
+  at_1_and_4_threads([&] {
+    for (nn::GradNeed need : {nn::GradNeed::kAll, nn::GradNeed::kInput,
+                              nn::GradNeed::kParams}) {
+      SCOPED_TRACE("need=" + std::to_string(static_cast<int>(need)));
+      nn::NormReluPool block(C);
+      std::vector<std::string> names;
+      for (const nn::ParamRef& p : block.parameters()) names.push_back(p.name);
+      EXPECT_EQ(names, (std::vector<std::string>{"norm.gamma", "norm.beta"}));
+      *param(block, "norm.gamma").value = in.gamma;
+      *param(block, "norm.beta").value = in.beta;
+      *param(block, "norm.gamma").grad = start_dgamma;
+      *param(block, "norm.beta").grad = start_dbeta;
+      EXPECT_TRUE(same_bytes(block.forward(in.x), want_y));
+      const Tensor dx = block.backward(in.dy, need);
+      if (need == nn::GradNeed::kParams) {
+        EXPECT_EQ(dx.numel(), 0);
+      } else {
+        EXPECT_TRUE(same_bytes(dx, want_dx));
+      }
+      const bool params = need != nn::GradNeed::kInput;
+      EXPECT_TRUE(same_bytes(*param(block, "norm.gamma").grad,
+                             params ? want_dgamma : start_dgamma));
+      EXPECT_TRUE(same_bytes(*param(block, "norm.beta").grad,
+                             params ? want_dbeta : start_dbeta));
+    }
+  });
+}
+
 TEST(ConvKernelsTest, NormReluPoolMatchesUnfusedLayers) {
-  std::vector<BlockInput> inputs;
   Rng rng(800);
   // 15 and 63 planes (8-plane blocks with a tail), H != W.
   for (const auto& [batch, channels] : {std::pair<int64_t, int64_t>{3, 5},
@@ -670,58 +722,99 @@ TEST(ConvKernelsTest, NormReluPoolMatchesUnfusedLayers) {
     beta[1] = -100.0f;
     // A plane whose pooled gradient is all −0: its dy must come out +0.
     for (int64_t i = 0; i < 15; ++i) dy[2 * 15 + i] = -0.0f;
-    inputs.push_back({std::move(x), std::move(dy),
-                      random_tensor({channels}, rng), std::move(beta)});
+    expect_block_matches_unfused({std::move(x), std::move(dy),
+                                  random_tensor({channels}, rng),
+                                  std::move(beta)});
   }
-  inputs.push_back(cancelling_block_planes({3, 3, 16, 16}, rng));
+  expect_block_matches_unfused(cancelling_block_planes({3, 3, 16, 16}, rng));
+}
 
-  for (const BlockInput& in : inputs) {
-    SCOPED_TRACE("input " + in.x.shape_str());
-    const int64_t C = in.x.dim(1);
-    // The reference: the three layers, backward under kAll, onto gradients
-    // that start non-zero.
-    nn::InstanceNorm2d norm(C);
-    nn::ReLU relu;
-    nn::AvgPool2d pool(2);
-    *param(norm, "norm.gamma").value = in.gamma;
-    *param(norm, "norm.beta").value = in.beta;
-    Rng grads(801);
-    const Tensor start_dgamma = random_tensor({C}, grads);
-    const Tensor start_dbeta = random_tensor({C}, grads);
-    *param(norm, "norm.gamma").grad = start_dgamma;
-    *param(norm, "norm.beta").grad = start_dbeta;
-    const Tensor want_y = pool.forward(relu.forward(norm.forward(in.x)));
-    const Tensor want_dx = norm.backward(relu.backward(pool.backward(in.dy)));
-    const Tensor want_dgamma = *param(norm, "norm.gamma").grad;
-    const Tensor want_dbeta = *param(norm, "norm.beta").grad;
+// Planes with normalized outputs exactly on ReLU's edge. Every channel's
+// planes are copies of one plane, and its pixel `kEdge` recurs at
+// kEdgeCopies (in other windows, and among the last M mod 8 elements the
+// 8×8 relayout copies one by one), so the edge shows in 8-plane blocks and
+// in one-plane tails. β_c = −fl(γ_c·x̂) of that pixel, so there γ·x̂ + β is
+// exactly +0 when the product is exact (channels 0–2: γ = 1, ½, −2), and
+// the product's rounding residual, of either sign, or 0 otherwise (FMA
+// contraction). Channel C − 1's planes sum to exactly 0 and hold a +0 at
+// kEdge and a −0 beside it, so β is −0 and the −0 pixel's output is −0.
+constexpr int64_t kEdge = 12;
+constexpr int64_t kEdgeCopies[] = {kEdge, 25, 47, 57, 59};
 
-    at_1_and_4_threads([&] {
-      for (nn::GradNeed need : {nn::GradNeed::kAll, nn::GradNeed::kInput,
-                                nn::GradNeed::kParams}) {
-        SCOPED_TRACE("need=" + std::to_string(static_cast<int>(need)));
-        nn::NormReluPool block(C);
-        std::vector<std::string> names;
-        for (const nn::ParamRef& p : block.parameters()) names.push_back(p.name);
-        EXPECT_EQ(names, (std::vector<std::string>{"norm.gamma", "norm.beta"}));
-        *param(block, "norm.gamma").value = in.gamma;
-        *param(block, "norm.beta").value = in.beta;
-        *param(block, "norm.gamma").grad = start_dgamma;
-        *param(block, "norm.beta").grad = start_dbeta;
-        EXPECT_TRUE(same_bytes(block.forward(in.x), want_y));
-        const Tensor dx = block.backward(in.dy, need);
-        if (need == nn::GradNeed::kParams) {
-          EXPECT_EQ(dx.numel(), 0);
-        } else {
-          EXPECT_TRUE(same_bytes(dx, want_dx));
-        }
-        const bool params = need != nn::GradNeed::kInput;
-        EXPECT_TRUE(same_bytes(*param(block, "norm.gamma").grad,
-                               params ? want_dgamma : start_dgamma));
-        EXPECT_TRUE(same_bytes(*param(block, "norm.beta").grad,
-                               params ? want_dbeta : start_dbeta));
+BlockInput relu_edge_planes(Rng& rng) {
+  const int64_t N = 3, C = 9, H = 6, W = 10, M = H * W;
+  BlockInput in{random_tensor({N, C, H, W}, rng, 3.0),
+                random_tensor({N, C, H / 2, W / 2}, rng), Tensor({C}),
+                Tensor({C})};
+  const float exact_gamma[] = {1.0f, 0.5f, -2.0f};
+  for (int64_t c = 0; c < C; ++c) {
+    in.gamma[c] = c < 3 ? exact_gamma[c]
+                        : static_cast<float>(rng.uniform(0.5, 1.5));
+    float* plane = in.x.data() + c * M;
+    if (c == C - 1) {
+      // ±v pairs, then +0 at kEdge and −0 beside it: every running double
+      // sum of a pair is +0, so the mean is +0.
+      for (int64_t i = 0; i < M; i += 2) plane[i + 1] = -plane[i];
+      plane[kEdge] = 0.0f;
+      plane[kEdge + 1] = -0.0f;
+    } else {
+      for (int64_t i : kEdgeCopies) plane[i] = plane[kEdge];
+    }
+    for (int64_t n = 1; n < N; ++n) {
+      std::memcpy(in.x.data() + (n * C + c) * M, plane, M * sizeof(float));
+    }
+  }
+  // fl(γ·x̂) at kEdge, from the reference norm with β = 0.
+  nn::InstanceNorm2d norm(C);
+  *param(norm, "norm.gamma").value = in.gamma;
+  const Tensor scaled = norm.forward(in.x);
+  for (int64_t c = 0; c < C; ++c) in.beta[c] = -scaled[c * M + kEdge];
+  return in;
+}
+
+TEST(ConvKernelsTest, NormReluPoolMaskAtTheReluEdge) {
+  Rng rng(820);
+  const BlockInput in = relu_edge_planes(rng);
+  const int64_t C = in.x.dim(1), M = in.x.dim(2) * in.x.dim(3);
+  // The edge is really there: the reference norm's output is exactly +0 at
+  // every copy of kEdge in the exact channels, and −0 beside kEdge in the
+  // last channel, in every sample.
+  nn::InstanceNorm2d norm(C);
+  *param(norm, "norm.gamma").value = in.gamma;
+  *param(norm, "norm.beta").value = in.beta;
+  const Tensor y = norm.forward(in.x);
+  for (int64_t n = 0; n < in.x.dim(0); ++n) {
+    for (int64_t c = 0; c < 3; ++c) {
+      for (int64_t i : kEdgeCopies) {
+        const float v = y[(n * C + c) * M + i];
+        EXPECT_TRUE(v == 0.0f && !std::signbit(v)) << "c=" << c << " i=" << i;
       }
-    });
+    }
+    const float neg = y[(n * C + C - 1) * M + kEdge + 1];
+    EXPECT_TRUE(neg == 0.0f && std::signbit(neg));
   }
+  expect_block_matches_unfused(in);
+}
+
+// The forward caches x̂ and inv_std and nothing else activation-sized: after
+// the tensor pool is emptied, a forward at a batch (and so a pool bucket)
+// the block has not seen takes from the heap only those two and its output.
+TEST(ConvKernelsTest, NormReluPoolForwardTakesOnlyXhatInvStdAndOutput) {
+  const int64_t C = 4, H = 8, W = 8;
+  Rng rng(830);
+  nn::NormReluPool block(C);
+  block.forward(random_tensor({4, C, H, W}, rng));
+  block.backward(random_tensor({4, C, H / 2, W / 2}, rng));
+  const Tensor x = random_tensor({8, C, H, W}, rng);
+  detail::trim_tensor_pool();
+  const core::MemStatsSnapshot before = core::memstats_this_thread();
+  const Tensor y = block.forward(x);
+  const int64_t grown =
+      (core::memstats_this_thread() - before).tensor_heap_bytes;
+  // Every size here is a power of two of at least the pool's 32-float
+  // bucket, so each buffer takes exactly its own bytes.
+  const int64_t xhat = x.numel(), inv_std = 8 * C, out = y.numel();
+  EXPECT_LE(grown, (xhat + inv_std + out) * static_cast<int64_t>(sizeof(float)));
 }
 
 TEST(ConvKernelsTest, NormReluPoolRejectsMismatchedShapes) {
