@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "deco/core/guard.h"
 #include "deco/core/pseudo_label.h"
 #include "deco/data/dataset.h"
+#include "deco/nn/checkpoint.h"
 #include "deco/nn/convnet.h"
 
 namespace deco::core {
@@ -64,11 +66,14 @@ class OnDeviceLearner {
   /// (outside the β-schedule). Learners without a retraining notion no-op.
   virtual void update_model_now() {}
 
-  /// True when save_state/load_state are implemented; the runtime only
+  /// True when state_bytes/load_state are implemented; the runtime only
   /// schedules periodic checkpoints for learners that return true.
   virtual bool supports_state() const { return false; }
-  /// Crash-safe persistence of the complete learner state. The default
-  /// throws deco::Error — override together with supports_state().
+  /// The complete learner state as one file image. The default throws
+  /// deco::Error — override together with supports_state() and load_state.
+  virtual std::string state_bytes() const;
+  /// Crash-safe persistence: writes state_bytes() to `path` atomically
+  /// (temp + rename), so a power loss mid-save keeps the previous file.
   virtual void save_state(const std::string& path) const;
   /// Restores a save_state file; throws deco::Error on mismatch/corruption
   /// without modifying the learner. The default throws.
@@ -157,12 +162,12 @@ class DecoLearner : public OnDeviceLearner {
   void update_model_now() override;
 
   bool supports_state() const override { return true; }
-  /// Crash-safe persistence: saves model parameters, the synthetic buffer
-  /// (images and, when enabled, soft-label logits), the stream position
-  /// (segments_seen) and all rng/momentum state, so a killed run resumed via
-  /// load_state replays the remaining stream bit-exactly. The file carries a
-  /// CRC32 trailer and is written atomically (temp + rename).
-  void save_state(const std::string& path) const override;
+  /// The DECOLSAV file: model parameters, the synthetic buffer (images and,
+  /// when enabled, soft-label logits), the stream position (segments_seen)
+  /// and all rng/momentum state, so a killed run resumed via load_state
+  /// replays the remaining stream bit-exactly. The file carries a CRC32
+  /// trailer; save_state writes it atomically.
+  std::string state_bytes() const override;
   /// Restores a save_state file. Architecture/shape mismatches, truncation
   /// and CRC failures throw deco::Error without modifying the learner.
   void load_state(const std::string& path) override;
@@ -177,6 +182,27 @@ class DecoLearner : public OnDeviceLearner {
   int64_t segments_seen_ = 0;
   double condense_seconds_ = 0.0;
 };
+
+/// Metadata of a DECOLSAV learner-state file (DecoLearner::state_bytes):
+///
+///   magic | u32 version=2 | i64 segments | rng state | parameter list
+///   | buffer tensor | u8 soft [| logits tensor] | string condenser
+///   | condenser blob | u32 CRC32 of everything after the magic
+struct StateInfo {
+  uint32_t version = 0;
+  int64_t segments_seen = 0;
+  std::vector<nn::ParamInfo> params;
+  TensorInfo buffer;
+  bool soft_labels = false;
+  TensorInfo logits;  ///< set when soft_labels
+  std::string condenser;
+  int64_t condenser_bytes = 0;  ///< the condenser's own state blob
+};
+
+/// Reads a learner-state file's metadata from `is` (positioned at the magic)
+/// through skip_tensor, so no tensor payload is loaded and the CRC is not
+/// checked. Throws deco::Error on a malformed or truncated header.
+StateInfo read_state_info(std::istream& is);
 
 /// Shared model-update routine: SGD-with-momentum training of `model` on an
 /// in-memory set of images/labels for `epochs` epochs. Used by DECO (training

@@ -28,28 +28,6 @@
 
 namespace deco::data {
 
-/// Minimal pull interface shared by streams and decorators: produce the next
-/// segment, return false when exhausted. TemporalStream/FaultyStream predate
-/// this interface and keep their concrete types; SourceOf adapts them.
-class SegmentSource {
- public:
-  virtual ~SegmentSource() = default;
-  virtual bool next(Segment& out) = 0;
-};
-
-/// Adapts any object with `bool next(Segment&)` (TemporalStream,
-/// FaultyStream, another decorator) into a SegmentSource. Borrows the
-/// underlying stream, which must outlive the adapter.
-template <typename S>
-class SourceOf : public SegmentSource {
- public:
-  explicit SourceOf(S& s) : s_(s) {}
-  bool next(Segment& out) override { return s_.next(out); }
-
- private:
-  S& s_;
-};
-
 // ---- domain drift -----------------------------------------------------------
 
 /// Appearance drift applied in pixel space: a per-channel gain/bias shift

@@ -4,10 +4,11 @@
 // protocol: cameras develop dead and hot pixels, exposure control glitches,
 // frames are dropped or duplicated by the capture pipeline, transfers get
 // truncated, and upstream ISP bugs can hand the learner NaN/Inf pixels.
-// FaultyStream decorates a TemporalStream with seeded, rate-controlled
-// injections of all of these so the robustness of the learning stack (see
-// deco/core/guard.h) can be measured — bench/fault_tolerance.cpp sweeps the
-// rates and reports accuracy degradation with guards on vs. off.
+// FaultyStream decorates a TemporalStream (or any SegmentSource) with
+// seeded, rate-controlled injections of all of these so the robustness of
+// the learning stack (see deco/core/guard.h) can be measured —
+// bench/fault_tolerance.cpp sweeps the rates and reports accuracy
+// degradation with guards on vs. off.
 //
 // Faults are drawn from the decorator's own Rng: enabling/disabling injection
 // never perturbs the underlying stream's random sequence, so faulted and
@@ -64,26 +65,25 @@ struct FaultLog {
   int64_t total_faults() const;
 };
 
-/// Decorator over TemporalStream injecting FaultConfig's failure modes.
-/// Mirrors the stream's next(Segment&) interface; true labels are kept
-/// aligned with the (possibly restructured) frames so evaluation code keeps
-/// working. A segment always retains at least one frame.
-class FaultyStream {
+/// Decorator over any SegmentSource injecting FaultConfig's failure modes.
+/// True labels are kept aligned with the (possibly restructured) frames so
+/// evaluation code keeps working. A segment always retains at least one
+/// frame.
+class FaultyStream : public SegmentSource {
  public:
   /// `inner` is borrowed and must outlive the decorator.
-  FaultyStream(TemporalStream& inner, FaultConfig config, uint64_t seed);
+  FaultyStream(SegmentSource& inner, FaultConfig config, uint64_t seed);
 
   /// Pulls the next segment from the inner stream and corrupts it in place.
-  bool next(Segment& out);
+  bool next(Segment& out) override;
 
   const FaultLog& log() const { return log_; }
   const FaultConfig& config() const { return config_; }
-  TemporalStream& inner() { return inner_; }
 
  private:
   void corrupt_segment(Segment& seg);
 
-  TemporalStream& inner_;
+  SegmentSource& inner_;
   FaultConfig config_;
   Rng rng_;
   FaultLog log_;

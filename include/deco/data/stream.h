@@ -41,13 +41,22 @@ struct Segment {
   std::vector<int64_t> true_labels;  // [S]
 };
 
-class TemporalStream {
+/// Pull interface shared by the stream, the fault injector and every
+/// decorator (deco/data/decorators.h): produce the next segment, return
+/// false when exhausted.
+class SegmentSource {
+ public:
+  virtual ~SegmentSource() = default;
+  virtual bool next(Segment& out) = 0;
+};
+
+class TemporalStream : public SegmentSource {
  public:
   TemporalStream(const ProceduralImageWorld& world, StreamConfig config,
                  uint64_t seed);
 
   /// Produces the next segment; returns false when the stream is exhausted.
-  bool next(Segment& out);
+  bool next(Segment& out) override;
 
   /// Segments produced so far.
   int64_t segments_emitted() const { return segments_emitted_; }

@@ -1,8 +1,8 @@
 // Runtime configuration plus the unified key=value / JSON config loader.
 //
-// Every binary used to re-parse its own ad-hoc flag set. The ConfigMap is
-// the single parsing path shared by deco_cli, the benches and the examples:
-// it ingests `key=value` lines (or a flat JSON object) from a file, stdin
+// The ConfigMap is the one key=value parsing path (deco_cli and the tests
+// use it; the benches and examples set the config structs in code): it
+// ingests `key=value` lines (or a flat JSON object) from a file, stdin
 // text or --set overrides, and applies them onto the three config structs —
 // `deco.*` → core::DecoConfig, `stream.*` → data::StreamConfig, `runtime.*`
 // → runtime::RuntimeConfig. The loader only converts and routes values;

@@ -44,8 +44,8 @@ struct HarnessOptions {
   /// Forgetting-snapshot cadence in drained segments (0 = auto: ~3 snapshots
   /// over the stream). The final state is always snapshotted.
   int64_t eval_every_segments = 0;
-  /// When true and the method supports_state(), each session's save_state
-  /// bytes are captured into CellResult::state_blobs (determinism audits).
+  /// When true, each session that supports_state() hands its state_bytes()
+  /// to CellResult::state_blobs (determinism audits).
   bool capture_state = false;
   uint64_t seed = 1;
 
@@ -79,7 +79,7 @@ struct CellResult {
   int64_t peak_pool_bytes = 0;     ///< peak summed learner memory_bytes
   double wall_seconds = 0.0;       ///< NOT deterministic; excluded below
 
-  /// save_state bytes per session (only when HarnessOptions::capture_state
+  /// state_bytes() per session (only when HarnessOptions::capture_state
   /// and the learner supports_state). Not serialized into the report.
   std::vector<std::string> state_blobs;
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <vector>
 
 namespace deco {
@@ -22,6 +23,11 @@ struct RngState {
   bool has_cached_normal = false;
   double cached_normal = 0.0;
 };
+
+/// The one on-disk encoding of an RngState (learner and condenser state
+/// files): 4 × u64 words | u8 has_cached_normal | f64 cached_normal.
+void write_rng_state(std::ostream& os, const RngState& st);
+RngState read_rng_state(std::istream& is);
 
 class Rng {
  public:

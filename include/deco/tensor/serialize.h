@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "deco/tensor/dtype.h"
@@ -40,6 +41,40 @@ namespace deco {
 /// IEEE CRC32 (the zlib/PNG polynomial) of `n` bytes, continuing from `seed`
 /// (pass the previous return value to checksum data in chunks; 0 to start).
 uint32_t crc32(const void* data, size_t n, uint32_t seed = 0);
+
+// ---- field codecs: every container is built from these ----------------------
+//
+// Fields are raw host-order (little-endian) bytes; a non-null `crc` folds
+// the bytes written or read into a running CRC32. Writes report failure
+// through the stream state; reads throw deco::Error when the stream ends.
+
+void write_bytes(std::ostream& os, const void* data, size_t n,
+                 uint32_t* crc = nullptr);
+void read_bytes(std::istream& is, void* data, size_t n,
+                uint32_t* crc = nullptr);
+
+template <typename T>
+void write_pod(std::ostream& os, const T& v, uint32_t* crc = nullptr) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  write_bytes(os, &v, sizeof(T), crc);
+}
+
+template <typename T>
+T read_pod(std::istream& is, uint32_t* crc = nullptr) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T v{};
+  read_bytes(is, &v, sizeof(T), crc);
+  return v;
+}
+
+/// u32 length | bytes. Names and tags only: read_string rejects lengths of
+/// 4096 or more before allocating.
+void write_string(std::ostream& os, const std::string& s);
+std::string read_string(std::istream& is);
+
+/// Reads the 8-byte magic that opens every DECO container ("DECOTNSR",
+/// "DECOCKPT", "DECOLSAV"). A shorter stream yields the bytes it had.
+std::string read_magic(std::istream& is);
 
 /// Writes `bytes` to `path` atomically: the payload goes to `<path>.tmp`
 /// first and is renamed over `path` only after a successful flush, so readers

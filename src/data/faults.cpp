@@ -48,7 +48,7 @@ int64_t FaultLog::total_faults() const {
          segments_truncated + nan_bursts + inf_bursts;
 }
 
-FaultyStream::FaultyStream(TemporalStream& inner, FaultConfig config,
+FaultyStream::FaultyStream(SegmentSource& inner, FaultConfig config,
                            uint64_t seed)
     : inner_(inner), config_(config), rng_(seed) {
   config_.validate();

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "deco/core/telemetry.h"
@@ -29,52 +30,34 @@ double now_seconds() {
 constexpr char kStateMagic[8] = {'D', 'E', 'C', 'O', 'L', 'S', 'A', 'V'};
 constexpr uint32_t kStateVersion = 2;
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
+/// The fields ahead of the parameter list, shared by load_state and
+/// read_state_info.
+struct StateHeader {
+  uint32_t version = 0;
+  int64_t segments = 0;
+  RngState rng;
+};
 
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DECO_CHECK(static_cast<bool>(is), "learner state truncated");
-  return v;
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_pod(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& is) {
-  const uint32_t n = read_pod<uint32_t>(is);
-  DECO_CHECK(n < 4096, "learner state: bad string length");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  DECO_CHECK(static_cast<bool>(is), "learner state: string truncated");
-  return s;
-}
-
-void write_rng_state(std::ostream& os, const RngState& st) {
-  for (uint64_t w : st.s) write_pod(os, w);
-  write_pod(os, static_cast<uint8_t>(st.has_cached_normal ? 1 : 0));
-  write_pod(os, st.cached_normal);
-}
-
-RngState read_rng_state(std::istream& is) {
-  RngState st;
-  for (auto& w : st.s) w = read_pod<uint64_t>(is);
-  st.has_cached_normal = read_pod<uint8_t>(is) != 0;
-  st.cached_normal = read_pod<double>(is);
-  return st;
+StateHeader read_state_header(std::istream& is, const std::string& who) {
+  StateHeader h;
+  h.version = read_pod<uint32_t>(is);
+  DECO_CHECK(h.version == kStateVersion,
+             who + ": unsupported version " + std::to_string(h.version));
+  h.segments = read_pod<int64_t>(is);
+  DECO_CHECK(h.segments >= 0, who + ": negative segment counter");
+  h.rng = read_rng_state(is);
+  return h;
 }
 }  // namespace
 
-void OnDeviceLearner::save_state(const std::string& path) const {
-  (void)path;
+std::string OnDeviceLearner::state_bytes() const {
   DECO_CHECK(false, name() + ": save_state is not supported by this learner "
                     "(supports_state() is false)");
+  return {};
+}
+
+void OnDeviceLearner::save_state(const std::string& path) const {
+  atomic_write_file(path, state_bytes());
 }
 
 void OnDeviceLearner::load_state(const std::string& path) {
@@ -288,27 +271,16 @@ int64_t DecoLearner::cache_logical_bytes() const {
   return buffer_.logical_bytes();
 }
 
-void DecoLearner::save_state(const std::string& path) const {
-  // Serialize body (everything after the magic) to memory, append a CRC32
-  // trailer, and write the whole file atomically: a power loss mid-save
-  // preserves the previous state file.
+std::string DecoLearner::state_bytes() const {
+  // magic | body | u32 CRC32 of the body, built in memory so save_state can
+  // write it atomically and a power loss mid-save keeps the previous file.
   std::ostringstream os(std::ios::binary);
+  os.write(kStateMagic, sizeof(kStateMagic));
   write_pod(os, kStateVersion);
   write_pod(os, segments_seen_);
   write_rng_state(os, rng_.state());
-
-  auto params = model_.parameters();
-  write_pod(os, static_cast<uint32_t>(params.size()));
   const StoragePolicy& sp = config_.storage;
-  for (const nn::ParamRef& p : params) {
-    write_string(os, p.name);
-    // fp32 keeps the legacy v2 record (bit-exact resume, stable files);
-    // fp16/int8 emit v3 records at the checkpoint dtype.
-    if (sp.checkpoint_dtype == DType::kF32)
-      write_tensor(os, *p.value);
-    else
-      write_tensor(os, *p.value, sp.checkpoint_dtype, sp.block);
-  }
+  nn::write_params(os, model_, sp.checkpoint_dtype, sp.block);
 
   // A quantized cache persists its canonical stored bytes verbatim (no
   // re-encode), which is what makes save -> load -> save byte-identical.
@@ -323,14 +295,10 @@ void DecoLearner::save_state(const std::string& path) const {
 
   write_string(os, condenser_->name());
   condenser_->save_state(os);
+  const std::string_view body = os.view().substr(sizeof(kStateMagic));
+  write_pod(os, crc32(body.data(), body.size()));
   DECO_CHECK(static_cast<bool>(os), "save_state: serialization failed");
-
-  const std::string body = os.str();
-  std::string file(kStateMagic, sizeof(kStateMagic));
-  file += body;
-  const uint32_t crc = crc32(body.data(), body.size());
-  file.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  atomic_write_file(path, file);
+  return std::move(os).str();
 }
 
 void DecoLearner::load_state(const std::string& path) {
@@ -357,33 +325,11 @@ void DecoLearner::load_state(const std::string& path) {
 
   std::istringstream is(file.substr(sizeof(kStateMagic), body_len),
                         std::ios::binary);
-  const uint32_t version = read_pod<uint32_t>(is);
-  DECO_CHECK(version == kStateVersion,
-             "load_state: unsupported version " + std::to_string(version));
-  const int64_t segments = read_pod<int64_t>(is);
-  DECO_CHECK(segments >= 0, "load_state: negative segment counter");
-  const RngState rng_state = read_rng_state(is);
+  const StateHeader header = read_state_header(is, "load_state");
 
   // Stage everything and validate against the live model/buffer before any
   // commit, so a mismatched file never leaves the learner half-loaded.
-  auto params = model_.parameters();
-  const uint32_t count = read_pod<uint32_t>(is);
-  DECO_CHECK(count == params.size(),
-             "load_state: parameter count mismatch (file " +
-                 std::to_string(count) + ", model " +
-                 std::to_string(params.size()) + ")");
-  std::vector<Tensor> staged;
-  staged.reserve(params.size());
-  for (const nn::ParamRef& p : params) {
-    const std::string name = read_string(is);
-    DECO_CHECK(name == p.name,
-               "load_state: parameter order mismatch: expected " + p.name +
-                   ", found " + name);
-    Tensor t = read_tensor(is);
-    DECO_CHECK(t.shape() == p.value->shape(),
-               "load_state: shape mismatch for " + p.name);
-    staged.push_back(std::move(t));
-  }
+  std::vector<Tensor> params = nn::read_params(is, model_, "load_state");
 
   // The buffer record is staged in its stored form: a quantized cache is
   // restored byte-for-byte, an fp32 cache decodes to the exact saved bits.
@@ -418,8 +364,7 @@ void DecoLearner::load_state(const std::string& path) {
                  "', learner '" + condenser_->name() + "')");
 
   // Commit.
-  for (size_t i = 0; i < params.size(); ++i)
-    *params[i].value = std::move(staged[i]);
+  nn::assign_params(model_, std::move(params));
   if (config_.storage.cache_dtype == DType::kF32)
     buffer_.images() = qimages.decode();
   else
@@ -428,9 +373,29 @@ void DecoLearner::load_state(const std::string& path) {
     if (!buffer_.soft_labels_enabled()) buffer_.enable_soft_labels();
     buffer_.label_logits() = std::move(logits);
   }
-  segments_seen_ = segments;
-  rng_.set_state(rng_state);
+  segments_seen_ = header.segments;
+  rng_.set_state(header.rng);
   condenser_->load_state(is);  // integrity already established by the CRC
+}
+
+StateInfo read_state_info(std::istream& is) {
+  DECO_CHECK(read_magic(is) == std::string(kStateMagic, sizeof(kStateMagic)),
+             "read_state_info: not a DECO learner state file");
+  const StateHeader header = read_state_header(is, "read_state_info");
+  StateInfo info;
+  info.version = header.version;
+  info.segments_seen = header.segments;
+  info.params = nn::skip_params(is);
+  info.buffer = skip_tensor(is);
+  info.soft_labels = read_pod<uint8_t>(is) != 0;
+  if (info.soft_labels) info.logits = skip_tensor(is);
+  info.condenser = read_string(is);
+  // The condenser blob runs from here to the CRC trailer.
+  const auto blob_start = is.tellg();
+  is.seekg(0, std::ios::end);
+  info.condenser_bytes = static_cast<int64_t>(is.tellg() - blob_start) -
+                         static_cast<int64_t>(sizeof(uint32_t));
+  return info;
 }
 
 namespace {

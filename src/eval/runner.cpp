@@ -55,20 +55,20 @@ RunResult run_experiment(
 
   // Stream replay, optionally through the sensor-fault injector.
   data::TemporalStream stream(world, config.stream, config.seed + 4);
+  data::SegmentSource* source = &stream;
   std::unique_ptr<data::FaultyStream> faulty;
-  if (config.faults.any())
+  if (config.faults.any()) {
     faulty = std::make_unique<data::FaultyStream>(stream, config.faults,
                                                   config.seed ^ 0xFA017ull);
-  auto next_segment = [&](data::Segment& s) {
-    return faulty != nullptr ? faulty->next(s) : stream.next(s);
-  };
+    source = faulty.get();
+  }
   data::Segment seg;
   int64_t pseudo_correct = 0, pseudo_total = 0, retained_total = 0;
   // The upper bound is an oracle: unlimited memory AND ground-truth labels
   // (the paper defines it as the accuracy achievable with unlimited buffer).
   // Only it receives the labels; every other learner stays unlabeled.
   const bool oracle = config.method == "upper_bound";
-  while (next_segment(seg)) {
+  while (source->next(seg)) {
     core::SegmentReport rep =
         oracle ? learner.observe_labeled_segment(seg.images, seg.true_labels)
                : learner.observe_segment(seg.images);

@@ -7,32 +7,68 @@
 #include <vector>
 
 #include "deco/tensor/check.h"
-#include "deco/tensor/serialize.h"
 
 namespace deco::nn {
 
 namespace {
 constexpr char kMagic[8] = {'D', 'E', 'C', 'O', 'C', 'K', 'P', 'T'};
-
-void write_string(std::ostream& os, const std::string& s) {
-  const uint32_t n = static_cast<uint32_t>(s.size());
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(s.data(), n);
-}
-
-std::string read_string(std::istream& is) {
-  uint32_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  DECO_CHECK(static_cast<bool>(is) && n < 4096, "checkpoint: bad string");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  DECO_CHECK(static_cast<bool>(is), "checkpoint: string truncated");
-  return s;
-}
 }  // namespace
 
-void save_checkpoint(const std::string& path, Module& model) {
-  save_checkpoint(path, model, DType::kF32);
+void write_params(std::ostream& os, Module& model, DType dtype,
+                  int64_t block) {
+  const std::vector<ParamRef> params = model.parameters();
+  write_pod(os, static_cast<uint32_t>(params.size()));
+  for (const ParamRef& p : params) {
+    write_string(os, p.name);
+    // fp32 keeps the legacy v2 record so default files stay byte-identical;
+    // other dtypes emit dtype-tagged v3 records.
+    if (dtype == DType::kF32)
+      write_tensor(os, *p.value);
+    else
+      write_tensor(os, *p.value, dtype, block);
+  }
+}
+
+std::vector<Tensor> read_params(std::istream& is, Module& model,
+                                const std::string& who) {
+  const std::vector<ParamRef> params = model.parameters();
+  const uint32_t count = read_pod<uint32_t>(is);
+  DECO_CHECK(count == params.size(),
+             who + ": parameter count mismatch (file " +
+                 std::to_string(count) + ", model " +
+                 std::to_string(params.size()) + ")");
+  std::vector<Tensor> staged;
+  staged.reserve(params.size());
+  for (const ParamRef& p : params) {
+    const std::string name = read_string(is);
+    DECO_CHECK(name == p.name, who + ": parameter order mismatch: expected " +
+                                   p.name + ", found " + name);
+    Tensor t = read_tensor(is);
+    DECO_CHECK(t.shape() == p.value->shape(),
+               who + ": shape mismatch for " + p.name);
+    staged.push_back(std::move(t));
+  }
+  return staged;
+}
+
+void assign_params(Module& model, std::vector<Tensor> staged) {
+  const std::vector<ParamRef> params = model.parameters();
+  DECO_CHECK(staged.size() == params.size(),
+             "assign_params: staged tensor count mismatch");
+  for (size_t i = 0; i < params.size(); ++i)
+    *params[i].value = std::move(staged[i]);
+}
+
+std::vector<ParamInfo> skip_params(std::istream& is) {
+  const uint32_t count = read_pod<uint32_t>(is);
+  std::vector<ParamInfo> out;
+  for (uint32_t i = 0; i < count; ++i) {
+    ParamInfo info;
+    info.name = read_string(is);
+    info.tensor = skip_tensor(is);
+    out.push_back(std::move(info));
+  }
+  return out;
 }
 
 void save_checkpoint(const std::string& path, Module& model, DType dtype,
@@ -41,18 +77,7 @@ void save_checkpoint(const std::string& path, Module& model, DType dtype,
   // never clobber the previous on-disk checkpoint.
   std::ostringstream os(std::ios::binary);
   os.write(kMagic, sizeof(kMagic));
-  auto params = model.parameters();
-  const uint32_t count = static_cast<uint32_t>(params.size());
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (ParamRef& p : params) {
-    write_string(os, p.name);
-    // fp32 keeps the legacy v2 record so default checkpoints stay
-    // byte-identical; other dtypes emit dtype-tagged v3 records.
-    if (dtype == DType::kF32)
-      write_tensor(os, *p.value);
-    else
-      write_tensor(os, *p.value, dtype, block);
-  }
+  write_params(os, model, dtype, block);
   DECO_CHECK(static_cast<bool>(os), "save_checkpoint: serialization failed");
   atomic_write_file(path, os.str());
 }
@@ -60,33 +85,17 @@ void save_checkpoint(const std::string& path, Module& model, DType dtype,
 void load_checkpoint(const std::string& path, Module& model) {
   std::ifstream is(path, std::ios::binary);
   DECO_CHECK(is.is_open(), "load_checkpoint: cannot open " + path);
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  DECO_CHECK(static_cast<bool>(is) && std::equal(magic, magic + 8, kMagic),
+  DECO_CHECK(read_magic(is) == std::string(kMagic, sizeof(kMagic)),
              "load_checkpoint: not a DECO checkpoint");
-  uint32_t count = 0;
-  is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  DECO_CHECK(static_cast<bool>(is), "load_checkpoint: header truncated");
-  auto params = model.parameters();
-  DECO_CHECK(count == params.size(),
-             "load_checkpoint: parameter count mismatch (file " +
-                 std::to_string(count) + ", model " +
-                 std::to_string(params.size()) + ")");
   // Stage every tensor and validate the full file before touching the model:
   // a truncated or mismatched checkpoint must not leave the model half-loaded.
-  std::vector<Tensor> staged;
-  staged.reserve(params.size());
-  for (ParamRef& p : params) {
-    const std::string name = read_string(is);
-    DECO_CHECK(name == p.name, "load_checkpoint: parameter order mismatch: "
-                               "expected " + p.name + ", found " + name);
-    Tensor t = read_tensor(is);
-    DECO_CHECK(t.shape() == p.value->shape(),
-               "load_checkpoint: shape mismatch for " + p.name);
-    staged.push_back(std::move(t));
-  }
-  for (size_t i = 0; i < params.size(); ++i)
-    *params[i].value = std::move(staged[i]);
+  assign_params(model, read_params(is, model, "load_checkpoint"));
+}
+
+std::vector<ParamInfo> read_checkpoint_info(std::istream& is) {
+  DECO_CHECK(read_magic(is) == std::string(kMagic, sizeof(kMagic)),
+             "read_checkpoint_info: not a DECO checkpoint");
+  return skip_params(is);
 }
 
 }  // namespace deco::nn

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -33,7 +30,6 @@ struct SessionCtx {
   std::unique_ptr<data::ProceduralImageWorld> world;
   std::unique_ptr<data::Dataset> test;
   std::unique_ptr<data::TemporalStream> base;
-  std::unique_ptr<data::FaultyStream> faulty;
   std::vector<std::unique_ptr<data::SegmentSource>> chain;
   data::SegmentSource* head = nullptr;
   std::vector<std::vector<int64_t>> submitted_labels;
@@ -138,17 +134,12 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
     //      -> [label noise] --------------------------------------------------
     ctx.base = std::make_unique<data::TemporalStream>(*ctx.world, sc,
                                                       seed + 100 + si);
-    data::SegmentSource* head;
+    data::SegmentSource* head = ctx.base.get();
     if (spec.faults.any()) {
-      ctx.faulty = std::make_unique<data::FaultyStream>(
-          *ctx.base, spec.faults, (seed ^ 0xFA017ull) + si);
-      ctx.chain.push_back(
-          std::make_unique<data::SourceOf<data::FaultyStream>>(*ctx.faulty));
-    } else {
-      ctx.chain.push_back(
-          std::make_unique<data::SourceOf<data::TemporalStream>>(*ctx.base));
+      ctx.chain.push_back(std::make_unique<data::FaultyStream>(
+          *head, spec.faults, (seed ^ 0xFA017ull) + si));
+      head = ctx.chain.back().get();
     }
-    head = ctx.chain.back().get();
     if (spec.class_incremental) {
       ctx.chain.push_back(std::make_unique<data::ClassIncrementalStream>(
           *ctx.world, *head, spec.phases, seed * 71 + 13 + si));
@@ -283,16 +274,7 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
       if (!ctx.admitted) continue;
       core::OnDeviceLearner& learner = manager.learner(ctx.name);
       if (!learner.supports_state()) continue;
-      const std::string path = spec.name + "." + method + "." + ctx.name +
-                               ".state.tmp";
-      learner.save_state(path);
-      std::ifstream is(path, std::ios::binary);
-      DECO_CHECK(is.is_open(), "scenario: cannot reopen " + path);
-      cell.state_blobs.emplace_back(
-          (std::istreambuf_iterator<char>(is)),
-          std::istreambuf_iterator<char>());
-      is.close();
-      std::remove(path.c_str());
+      cell.state_blobs.push_back(learner.state_bytes());
     }
   }
 

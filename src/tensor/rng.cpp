@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "deco/tensor/check.h"
+#include "deco/tensor/serialize.h"
 #include "deco/tensor/tensor.h"
 
 namespace deco {
@@ -118,6 +119,20 @@ void Rng::set_state(const RngState& st) {
   for (int i = 0; i < 4; ++i) s_[i] = st.s[i];
   has_cached_normal_ = st.has_cached_normal;
   cached_normal_ = st.cached_normal;
+}
+
+void write_rng_state(std::ostream& os, const RngState& st) {
+  for (uint64_t w : st.s) write_pod(os, w);
+  write_pod(os, static_cast<uint8_t>(st.has_cached_normal ? 1 : 0));
+  write_pod(os, st.cached_normal);
+}
+
+RngState read_rng_state(std::istream& is) {
+  RngState st;
+  for (auto& w : st.s) w = read_pod<uint64_t>(is);
+  st.has_cached_normal = read_pod<uint8_t>(is) != 0;
+  st.cached_normal = read_pod<double>(is);
+  return st;
 }
 
 }  // namespace deco

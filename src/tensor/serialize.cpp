@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -35,21 +34,6 @@ std::array<uint32_t, 256> make_crc_table() {
   return table;
 }
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-/// Reads a POD, optionally folding its raw bytes into a running CRC.
-template <typename T>
-T read_pod(std::istream& is, uint32_t* crc = nullptr) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DECO_CHECK(static_cast<bool>(is), "tensor stream truncated");
-  if (crc != nullptr) *crc = crc32(&v, sizeof(T), *crc);
-  return v;
-}
-
 /// Parsed v1/v2/v3 record header — everything between the magic and the
 /// payload. When `crc` is non-null the header bytes are folded into it
 /// (the discipline the CRC trailer covers); skip_tensor passes null.
@@ -65,9 +49,7 @@ struct WireHeader {
 
 WireHeader read_header(std::istream& is, const std::string& who,
                        uint32_t* crc) {
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  DECO_CHECK(static_cast<bool>(is) && std::memcmp(magic, kMagic, 8) == 0,
+  DECO_CHECK(read_magic(is) == std::string(kMagic, sizeof(kMagic)),
              who + ": bad magic (not a DECO tensor stream)");
   WireHeader h;
   h.version = read_pod<uint32_t>(is, crc);
@@ -119,24 +101,15 @@ void write_v3(std::ostream& os, DType dtype, int64_t block,
               int64_t payload_bytes) {
   os.write(kMagic, sizeof(kMagic));
   uint32_t crc = 0;
-  auto emit = [&](const void* p, size_t n) {
-    os.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-    crc = crc32(p, n, crc);
-  };
-  const uint32_t version = kQuantVersion;
-  emit(&version, sizeof(version));
-  const uint8_t tag = static_cast<uint8_t>(dtype);
-  emit(&tag, sizeof(tag));
-  const uint8_t reserved = 0;
-  emit(&reserved, sizeof(reserved));
+  write_pod(os, kQuantVersion, &crc);
+  write_pod(os, static_cast<uint8_t>(dtype), &crc);
+  write_pod(os, uint8_t{0}, &crc);  // reserved
   DECO_CHECK(block >= 0 && block <= 65535,
              "write_tensor: block does not fit the u16 header field");
-  const uint16_t block16 = static_cast<uint16_t>(block);
-  emit(&block16, sizeof(block16));
-  const uint32_t ndim = static_cast<uint32_t>(shape.size());
-  emit(&ndim, sizeof(ndim));
-  for (int64_t dim : shape) emit(&dim, sizeof(dim));
-  emit(payload, static_cast<size_t>(payload_bytes));
+  write_pod(os, static_cast<uint16_t>(block), &crc);
+  write_pod(os, static_cast<uint32_t>(shape.size()), &crc);
+  for (int64_t dim : shape) write_pod(os, dim, &crc);
+  write_bytes(os, payload, static_cast<size_t>(payload_bytes), &crc);
   write_pod(os, crc);
   DECO_CHECK(static_cast<bool>(os), "write_tensor: stream write failed");
 }
@@ -148,6 +121,37 @@ uint32_t crc32(const void* data, size_t n, uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+void write_bytes(std::ostream& os, const void* data, size_t n, uint32_t* crc) {
+  os.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+  if (crc != nullptr) *crc = crc32(data, n, *crc);
+}
+
+void read_bytes(std::istream& is, void* data, size_t n, uint32_t* crc) {
+  is.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
+  DECO_CHECK(static_cast<bool>(is), "binary stream truncated");
+  if (crc != nullptr) *crc = crc32(data, n, *crc);
+}
+
+void write_string(std::ostream& os, const std::string& s) {
+  write_pod(os, static_cast<uint32_t>(s.size()));
+  write_bytes(os, s.data(), s.size());
+}
+
+std::string read_string(std::istream& is) {
+  const uint32_t n = read_pod<uint32_t>(is);
+  DECO_CHECK(n < 4096, "read_string: bad string length");
+  std::string s(n, '\0');
+  read_bytes(is, s.data(), n);
+  return s;
+}
+
+std::string read_magic(std::istream& is) {
+  std::string magic(8, '\0');
+  is.read(magic.data(), static_cast<std::streamsize>(magic.size()));
+  magic.resize(static_cast<size_t>(is.gcount()));
+  return magic;
 }
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {
@@ -168,19 +172,11 @@ void atomic_write_file(const std::string& path, const std::string& bytes) {
 void write_tensor(std::ostream& os, const Tensor& t) {
   os.write(kMagic, sizeof(kMagic));
   uint32_t crc = 0;
-  auto emit = [&](const void* p, size_t n) {
-    os.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-    crc = crc32(p, n, crc);
-  };
-  const uint32_t version = kVersion;
-  emit(&version, sizeof(version));
-  const uint32_t ndim = static_cast<uint32_t>(t.ndim());
-  emit(&ndim, sizeof(ndim));
-  for (int64_t d = 0; d < t.ndim(); ++d) {
-    const int64_t dim = t.dim(d);
-    emit(&dim, sizeof(dim));
-  }
-  emit(t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
+  write_pod(os, kVersion, &crc);
+  write_pod(os, static_cast<uint32_t>(t.ndim()), &crc);
+  for (int64_t d = 0; d < t.ndim(); ++d) write_pod(os, t.dim(d), &crc);
+  write_bytes(os, t.data(), static_cast<size_t>(t.numel()) * sizeof(float),
+              &crc);
   write_pod(os, crc);
   DECO_CHECK(static_cast<bool>(os), "write_tensor: stream write failed");
 }

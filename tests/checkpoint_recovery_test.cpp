@@ -12,6 +12,7 @@
 #include "deco/core/learner.h"
 #include "deco/data/stream.h"
 #include "deco/data/world.h"
+#include "deco/nn/checkpoint.h"
 #include "deco/tensor/check.h"
 #include "deco/tensor/serialize.h"
 #include "test_util.h"
@@ -353,6 +354,119 @@ TEST_F(CorruptStateTest, StridedByteFlipFuzzNeverCrashesOrCorrupts) {
   // A single-byte XOR can never keep the CRC valid, so nothing may load.
   EXPECT_EQ(accepted, 0);
   EXPECT_EQ(rejected, static_cast<int64_t>(positions.size()));
+}
+
+// ---- metadata readers (what `deco_cli inspect` prints) ----------------------
+
+std::string read_whole_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+/// Every entry names the model's parameter, in order, with its shape, stored
+/// at `dtype` (v2 records for fp32, v3 otherwise).
+void expect_params_match(const std::vector<nn::ParamInfo>& infos,
+                         nn::Module& model, DType dtype) {
+  const std::vector<nn::ParamRef> params = model.parameters();
+  ASSERT_EQ(infos.size(), params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(infos[i].name, params[i].name);
+    EXPECT_EQ(infos[i].tensor.shape, params[i].value->shape());
+    EXPECT_EQ(infos[i].tensor.dtype, dtype);
+    EXPECT_EQ(infos[i].tensor.version, dtype == DType::kF32 ? 2u : 3u);
+  }
+}
+
+/// A learner whose cache and checkpoint dtypes are both `dtype`, after two
+/// segments of its stream.
+struct MetadataRig {
+  explicit MetadataRig(DType dtype, bool soft = false)
+      : world(data::icub1_spec(), 24), labeled(world.make_labeled_set(2, 1)) {
+    Rng mr(8);
+    model = std::make_unique<nn::ConvNet>(model_config(world.spec()), mr);
+    DecoConfig cfg = small_config(soft);
+    cfg.storage.cache_dtype = dtype;
+    cfg.storage.checkpoint_dtype = dtype;
+    learner = std::make_unique<DecoLearner>(*model, cfg, 9);
+    learner->init_buffer_from(labeled);
+    data::TemporalStream stream(world, stream_config(2), 10);
+    data::Segment seg;
+    while (stream.next(seg)) learner->observe_segment(seg.images);
+  }
+
+  data::ProceduralImageWorld world;
+  data::Dataset labeled;
+  std::unique_ptr<nn::ConvNet> model;
+  std::unique_ptr<DecoLearner> learner;
+};
+
+void check_state_metadata(DType dtype, bool soft) {
+  MetadataRig rig(dtype, soft);
+  DecoLearner& learner = *rig.learner;
+  const std::string path = deco::testing::unique_temp_path("meta.state");
+  learner.save_state(path);
+  const std::string file = read_whole_file(path);
+  EXPECT_EQ(learner.state_bytes(), file) << "save_state must write the bytes";
+
+  std::ifstream is(path, std::ios::binary);
+  const StateInfo info = read_state_info(is);
+  EXPECT_EQ(info.version, 2u);
+  EXPECT_EQ(info.segments_seen, 2);
+  expect_params_match(info.params, *rig.model, dtype);
+  EXPECT_EQ(info.buffer.shape, learner.buffer().images().shape());
+  EXPECT_EQ(info.buffer.dtype, dtype);
+  EXPECT_EQ(info.soft_labels, soft);
+  if (soft) {
+    EXPECT_EQ(info.logits.shape,
+              (std::vector<int64_t>{learner.buffer().size(),
+                                    learner.buffer().num_classes()}));
+  }
+  EXPECT_EQ(info.condenser, learner.name());
+  // DECO's blob holds at least its rng record (41 bytes) and the two
+  // velocity presence flags.
+  EXPECT_GE(info.condenser_bytes, 43);
+  EXPECT_LT(info.condenser_bytes, static_cast<int64_t>(file.size()));
+  std::ifstream again(path, std::ios::binary);
+  EXPECT_THROW(nn::read_checkpoint_info(again), Error)
+      << "a learner state is not a checkpoint";
+  std::remove(path.c_str());
+}
+
+void check_checkpoint_metadata(DType dtype) {
+  MetadataRig rig(dtype);
+  const std::string path = deco::testing::unique_temp_path("meta.ckpt");
+  nn::save_checkpoint(path, *rig.model, dtype);
+  std::ifstream is(path, std::ios::binary);
+  const std::vector<nn::ParamInfo> infos = nn::read_checkpoint_info(is);
+  expect_params_match(infos, *rig.model, dtype);
+  for (const nn::ParamInfo& p : infos)
+    EXPECT_EQ(p.tensor.block, dtype == DType::kQ8 ? kDefaultQuantBlock : 0);
+  std::ifstream again(path, std::ios::binary);
+  EXPECT_THROW(read_state_info(again), Error)
+      << "a checkpoint is not a learner state";
+  std::remove(path.c_str());
+}
+
+TEST(StateMetadataTest, Fp32StateBytesAndInfoMatchLearner) {
+  check_state_metadata(DType::kF32, /*soft=*/false);
+}
+
+TEST(StateMetadataTest, Int8StateBytesAndInfoMatchLearner) {
+  check_state_metadata(DType::kQ8, /*soft=*/false);
+}
+
+TEST(StateMetadataTest, SoftLabelStateInfoListsLogits) {
+  check_state_metadata(DType::kF32, /*soft=*/true);
+}
+
+TEST(CheckpointMetadataTest, Fp32InfoMatchesModel) {
+  check_checkpoint_metadata(DType::kF32);
+}
+
+TEST(CheckpointMetadataTest, Int8InfoMatchesModel) {
+  check_checkpoint_metadata(DType::kQ8);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Smoke test of `deco_cli run`: --save-model must not change the experiment
 # (same final line with and without it), and an unknown --method or the
-# removed --pooling flag must fail. Both `deco_cli bench` paths (the matrix
-# with its gates, and the fleet sweep) must exit 0 and write their JSON.
+# removed --pooling flag must fail. `deco_cli inspect` must read the saved
+# checkpoint and a learner state written by `deco_cli serve`. Both
+# `deco_cli bench` paths (the matrix with its gates, and the fleet sweep)
+# must exit 0 and write their JSON.
 #
 # Usage: sh tests/cli_smoke.sh <deco_cli binary> <scratch dir>
 set -eu
@@ -27,6 +29,22 @@ if [ ! -s "$dir/model.ckpt" ]; then
   echo "FAIL: --save-model wrote no checkpoint"
   exit 1
 fi
+# Prints inspect's report of file $1 and fails unless it holds line $2.
+expect_inspect() {
+  "$cli" inspect "$1" > "$dir/inspect.txt"
+  if ! grep -qF "$2" "$dir/inspect.txt"; then
+    echo "FAIL: deco_cli inspect $1 did not print '$2'"
+    cat "$dir/inspect.txt"
+    exit 1
+  fi
+}
+expect_inspect "$dir/model.ckpt" 'model checkpoint (DECOCKPT)'
+rm -rf "$dir/serve"
+mkdir -p "$dir/serve"
+"$cli" serve --sessions 1 --segments 2 --segment-size 8 \
+  --set runtime.checkpoint_every=1 --set runtime.checkpoint_dir="$dir/serve" \
+  >/dev/null
+expect_inspect "$dir/serve/session0.ckpt" 'learner state (DECOLSAV v2)'
 if "$cli" $args --method nope >/dev/null 2>&1; then
   echo "FAIL: --method nope was accepted"
   exit 1

@@ -139,8 +139,7 @@ TEST(DriftStream, SeedPureAndPairedWithCleanRun) {
 
   auto drifted = [&](uint64_t drift_seed) {
     data::TemporalStream base(world, sc, 5);
-    data::SourceOf<data::TemporalStream> src(base);
-    data::DriftStream drift(src, cfg, drift_seed);
+    data::DriftStream drift(base, cfg, drift_seed);
     return record(drift);
   };
   const Recorded a = drifted(3);
@@ -156,8 +155,7 @@ TEST(DriftStream, SeedPureAndPairedWithCleanRun) {
   // the drifted run pairs with the clean run — identical labels everywhere,
   // identical images strictly before onset, shifted images at and after it.
   data::TemporalStream clean_base(world, sc, 5);
-  data::SourceOf<data::TemporalStream> clean_src(clean_base);
-  const Recorded clean = record(clean_src);
+  const Recorded clean = record(clean_base);
   ASSERT_EQ(clean.images.size(), a.images.size());
   EXPECT_EQ(clean.labels, a.labels);
   EXPECT_TRUE(same_bytes(clean.images[0], a.images[0]));
@@ -186,8 +184,7 @@ TEST(LabelNoiseStream, FlipsLabelsOnlySeedPure) {
   int64_t flipped_count = -1;
   auto noisy = [&](uint64_t noise_seed) {
     data::TemporalStream base(world, sc, 5);
-    data::SourceOf<data::TemporalStream> src(base);
-    data::LabelNoiseStream noise(src, cfg, spec.num_classes, noise_seed);
+    data::LabelNoiseStream noise(base, cfg, spec.num_classes, noise_seed);
     Recorded r = record(noise);
     flipped_count = noise.labels_flipped();
     return r;
@@ -204,8 +201,7 @@ TEST(LabelNoiseStream, FlipsLabelsOnlySeedPure) {
   // Annotation noise touches labels only: images stay byte-identical to the
   // clean run, and the flip counter equals the number of changed labels.
   data::TemporalStream clean_base(world, sc, 5);
-  data::SourceOf<data::TemporalStream> clean_src(clean_base);
-  const Recorded clean = record(clean_src);
+  const Recorded clean = record(clean_base);
   ASSERT_EQ(clean.images.size(), a.images.size());
   int64_t changed = 0;
   for (size_t i = 0; i < a.images.size(); ++i) {
@@ -246,8 +242,7 @@ TEST(ClassIncrementalStream, RestrictsEarlyClassesSeedPure) {
   int64_t remapped = -1;
   auto incremental = [&](uint64_t ci_seed) {
     data::TemporalStream base(world, sc, 5);
-    data::SourceOf<data::TemporalStream> src(base);
-    data::ClassIncrementalStream ci(world, src, cfg, ci_seed);
+    data::ClassIncrementalStream ci(world, base, cfg, ci_seed);
     Recorded r = record(ci);
     remapped = ci.samples_remapped();
     return r;

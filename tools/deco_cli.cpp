@@ -16,7 +16,6 @@
 // pre-subcommand invocations keep working.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -348,24 +347,6 @@ std::string shape_str(const std::vector<int64_t>& shape) {
   return s + "]";
 }
 
-std::string read_inspect_string(std::istream& is) {
-  uint32_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  DECO_CHECK(static_cast<bool>(is) && n < 4096, "inspect: bad string field");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  DECO_CHECK(static_cast<bool>(is), "inspect: string truncated");
-  return s;
-}
-
-template <typename T>
-T read_inspect_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DECO_CHECK(static_cast<bool>(is), "inspect: file truncated");
-  return v;
-}
-
 // Suffix describing a v3 record's storage: dtype, quant block and the
 // compression ratio vs f32. Empty for v1/v2 records so legacy files print
 // exactly as they always did.
@@ -386,67 +367,42 @@ std::string dtype_suffix(const TensorInfo& info) {
 }
 
 void inspect_checkpoint(std::istream& is) {
-  // DECOCKPT: magic | u32 count | count × (string name, tensor).
-  const uint32_t count = read_inspect_pod<uint32_t>(is);
-  std::printf("  model checkpoint (DECOCKPT), %u parameters\n", count);
+  const std::vector<nn::ParamInfo> params = nn::read_checkpoint_info(is);
+  std::printf("  model checkpoint (DECOCKPT), %zu parameters\n", params.size());
   int64_t total = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    const std::string name = read_inspect_string(is);
-    const TensorInfo info = skip_tensor(is);
-    total += info.numel;
-    std::printf("    %-28s %-20s %10lld floats (v%u%s)\n", name.c_str(),
-                shape_str(info.shape).c_str(),
-                static_cast<long long>(info.numel), info.version,
-                dtype_suffix(info).c_str());
+  for (const nn::ParamInfo& p : params) {
+    total += p.tensor.numel;
+    std::printf("    %-28s %-20s %10lld floats (v%u%s)\n", p.name.c_str(),
+                shape_str(p.tensor.shape).c_str(),
+                static_cast<long long>(p.tensor.numel), p.tensor.version,
+                dtype_suffix(p.tensor).c_str());
   }
   std::printf("  total: %lld parameters (%.2f MiB as f32)\n",
               static_cast<long long>(total),
               static_cast<double>(total) * 4.0 / (1 << 20));
 }
 
-void inspect_learner_state(std::istream& is, int64_t file_bytes) {
-  // DECOLSAV v2: magic | u32 version | i64 segments | rng(4×u64,u8,f64) |
-  // u32 count | count × (string, tensor) | buffer tensor | u8 soft
-  // [| logits tensor] | string condenser | condenser blob | u32 CRC.
-  const uint32_t version = read_inspect_pod<uint32_t>(is);
-  DECO_CHECK(version == 2,
-             "inspect: unsupported learner-state version " +
-                 std::to_string(version));
-  const int64_t segments = read_inspect_pod<int64_t>(is);
-  for (int i = 0; i < 4; ++i) (void)read_inspect_pod<uint64_t>(is);  // rng
-  (void)read_inspect_pod<uint8_t>(is);
-  (void)read_inspect_pod<double>(is);
-  std::printf("  learner state (DECOLSAV v%u), %lld segments seen\n", version,
-              static_cast<long long>(segments));
-
-  const uint32_t count = read_inspect_pod<uint32_t>(is);
+void inspect_learner_state(std::istream& is) {
+  const core::StateInfo st = core::read_state_info(is);
+  std::printf("  learner state (DECOLSAV v%u), %lld segments seen\n",
+              st.version, static_cast<long long>(st.segments_seen));
   int64_t total = 0;
-  std::printf("  %u model parameters:\n", count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const std::string name = read_inspect_string(is);
-    const TensorInfo info = skip_tensor(is);
-    total += info.numel;
-    std::printf("    %-28s %-20s %10lld floats%s\n", name.c_str(),
-                shape_str(info.shape).c_str(),
-                static_cast<long long>(info.numel),
-                dtype_suffix(info).c_str());
+  std::printf("  %zu model parameters:\n", st.params.size());
+  for (const nn::ParamInfo& p : st.params) {
+    total += p.tensor.numel;
+    std::printf("    %-28s %-20s %10lld floats%s\n", p.name.c_str(),
+                shape_str(p.tensor.shape).c_str(),
+                static_cast<long long>(p.tensor.numel),
+                dtype_suffix(p.tensor).c_str());
   }
-  const TensorInfo buffer = skip_tensor(is);
-  std::printf("  synthetic buffer: %s%s\n", shape_str(buffer.shape).c_str(),
-              dtype_suffix(buffer).c_str());
-  const uint8_t soft = read_inspect_pod<uint8_t>(is);
-  if (soft != 0) {
-    const TensorInfo logits = skip_tensor(is);
-    std::printf("  soft-label logits: %s\n", shape_str(logits.shape).c_str());
-  } else {
+  std::printf("  synthetic buffer: %s%s\n", shape_str(st.buffer.shape).c_str(),
+              dtype_suffix(st.buffer).c_str());
+  if (st.soft_labels)
+    std::printf("  soft-label logits: %s\n", shape_str(st.logits.shape).c_str());
+  else
     std::printf("  soft labels: off\n");
-  }
-  const std::string condenser = read_inspect_string(is);
-  const int64_t condenser_bytes =
-      file_bytes - static_cast<int64_t>(is.tellg()) -
-      static_cast<int64_t>(sizeof(uint32_t));
   std::printf("  condenser: %s (%lld bytes of state), CRC32 trailer present\n",
-              condenser.c_str(), static_cast<long long>(condenser_bytes));
+              st.condenser.c_str(), static_cast<long long>(st.condenser_bytes));
   std::printf("  model total: %lld parameters (%.2f MiB as f32)\n",
               static_cast<long long>(total),
               static_cast<double>(total) * 4.0 / (1 << 20));
@@ -474,17 +430,16 @@ int cmd_inspect(int argc, char** argv, int first) {
     is.seekg(0, std::ios::end);
     const int64_t file_bytes = static_cast<int64_t>(is.tellg());
     is.seekg(0);
-    char magic[8] = {};
-    is.read(magic, sizeof(magic));
-    DECO_CHECK(static_cast<bool>(is), "inspect: " + path + " is too small");
+    const std::string magic = read_magic(is);
+    DECO_CHECK(magic.size() == 8, "inspect: " + path + " is too small");
     std::printf("%s  (%lld bytes)\n", path.c_str(),
                 static_cast<long long>(file_bytes));
-    if (std::memcmp(magic, "DECOCKPT", 8) == 0) {
+    is.seekg(0);  // each reader checks the magic itself
+    if (magic == "DECOCKPT") {
       inspect_checkpoint(is);
-    } else if (std::memcmp(magic, "DECOLSAV", 8) == 0) {
-      inspect_learner_state(is, file_bytes);
-    } else if (std::memcmp(magic, "DECOTNSR", 8) == 0) {
-      is.seekg(0);  // skip_tensor reads the magic itself
+    } else if (magic == "DECOLSAV") {
+      inspect_learner_state(is);
+    } else if (magic == "DECOTNSR") {
       const TensorInfo info = skip_tensor(is);
       std::printf("  tensor (DECOTNSR v%u): %s, %lld floats, %lld payload "
                   "bytes%s%s\n",
