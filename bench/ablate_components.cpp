@@ -18,7 +18,7 @@ int main() {
 
   eval::RunConfig base = bench::base_config(data::core50_spec(), s);
   base.method = "deco";
-  base.ipc = 5;
+  base.deco.ipc = 5;
 
   eval::MarkdownTable table({"majority voting", "feature discrimination",
                              "final acc", "pseudo-label acc %",

@@ -18,7 +18,7 @@ int main() {
   const bench::BenchScale s = bench::scale();
 
   eval::RunConfig base = bench::base_config(data::core50_spec(), s);
-  base.ipc = 10;
+  base.deco.ipc = 10;
 
   // (1) fresh-model-per-step vs fixed model.
   {

@@ -27,7 +27,7 @@ int main() {
     double acc_hard = 0.0, acc_soft = 0.0, t_hard = 0.0, t_soft = 0.0;
     for (bool soft : {false, true}) {
       eval::RunConfig cfg = base;
-      cfg.ipc = ipc;
+      cfg.deco.ipc = ipc;
       cfg.deco.condenser.learn_soft_labels = soft;
       const auto results = eval::run_seeds(cfg, s.seeds);
       for (const auto& r : results) {

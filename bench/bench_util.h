@@ -60,13 +60,11 @@ inline eval::RunConfig base_config(const data::DatasetSpec& spec,
   cfg.stream.segment_size = s.segment_size;
   cfg.stream.total_segments = s.segments;
   cfg.deco.model_update_epochs = s.model_update_epochs;
-  cfg.baseline.model_update_epochs = s.model_update_epochs;
   // β = 10 segments at full scale (paper setting); at quick scale the stream
   // is short, so β is chosen to give two model updates per run.
   const int64_t beta =
       eval::full_scale() ? 10 : std::max<int64_t>(2, s.segments / 2);
   cfg.deco.beta = beta;
-  cfg.baseline.beta = beta;
   cfg.pretrain_epochs = s.pretrain_epochs;
   cfg.test_per_class = s.test_per_class;
   cfg.seed = 1;

@@ -26,7 +26,7 @@ Outcome run_with_tracking(const std::string& method, int64_t ipc,
                           const bench::BenchScale& s, uint64_t seed) {
   eval::RunConfig cfg = bench::base_config(data::core50_spec(), s);
   cfg.method = method;
-  cfg.ipc = ipc;
+  cfg.deco.ipc = ipc;
   cfg.seed = seed;
 
   const data::ProceduralImageWorld world = eval::make_world(cfg);

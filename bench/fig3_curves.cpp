@@ -25,11 +25,10 @@ int main() {
               << "fifo, selective_bp, deco)\n";
 
     eval::RunConfig base = bench::base_config(spec, s);
-    base.ipc = 10;
+    base.deco.ipc = 10;
     base.eval_every_segments = 2;
     // β=2 so the curve reflects continuous learning between eval points.
     base.deco.beta = 2;
-    base.baseline.beta = 2;
 
     std::vector<std::vector<eval::CurvePoint>> curves;
     std::vector<float> final_acc;

@@ -19,7 +19,7 @@ int main() {
 
   eval::RunConfig base = bench::base_config(data::core50_spec(), s);
   base.method = "deco";
-  base.ipc = 5;
+  base.deco.ipc = 5;
 
   eval::MarkdownTable table({"m", "data retained %", "pseudo-label acc %",
                              "final model acc %"});

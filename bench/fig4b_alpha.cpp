@@ -29,7 +29,7 @@ int main() {
     std::vector<std::string> row{eval::fmt(alpha, 3)};
     for (int64_t ipc : {5, 10}) {
       eval::RunConfig cfg = base;
-      cfg.ipc = ipc;
+      cfg.deco.ipc = ipc;
       cfg.deco.condenser.alpha = alpha;
       cfg.deco.condenser.feature_discrimination = alpha > 0.0f;
       const auto results = eval::run_seeds(cfg, s.seeds);

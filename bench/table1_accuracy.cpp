@@ -31,7 +31,7 @@ int main() {
     // Upper bound: unlimited buffer, once per dataset.
     eval::RunConfig ub = base;
     ub.method = "upper_bound";
-    ub.ipc = 1;  // ignored by the unlimited learner
+    ub.deco.ipc = 1;  // ignored by the unlimited learner
     const auto ub_res = eval::run_seeds(ub, s.seeds);
     const auto ub_agg = eval::aggregate(bench::finals(ub_res));
 
@@ -46,7 +46,7 @@ int main() {
       for (const auto& method : baselines) {
         eval::RunConfig cfg = base;
         cfg.method = method;
-        cfg.ipc = ipc;
+        cfg.deco.ipc = ipc;
         const auto agg = eval::aggregate(
             bench::finals(eval::run_seeds(cfg, s.seeds)));
         best_baseline = std::max(best_baseline, agg.mean);
@@ -54,7 +54,7 @@ int main() {
       }
       eval::RunConfig cfg = base;
       cfg.method = "deco";
-      cfg.ipc = ipc;
+      cfg.deco.ipc = ipc;
       const auto deco_agg =
           eval::aggregate(bench::finals(eval::run_seeds(cfg, s.seeds)));
       row.push_back(eval::format_aggregate(deco_agg));

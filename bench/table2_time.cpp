@@ -31,7 +31,7 @@ int main() {
     for (int64_t ipc : ipcs) {
       eval::RunConfig cfg = base;
       cfg.method = method;
-      cfg.ipc = ipc;
+      cfg.deco.ipc = ipc;
       const auto results = eval::run_seeds(cfg, std::max<int64_t>(1, s.seeds - 1));
       double time_sum = 0.0;
       std::vector<float> accs;

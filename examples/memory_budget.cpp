@@ -24,8 +24,6 @@ int main() {
   base.stream.total_segments = 8;
   base.deco.beta = 4;
   base.deco.model_update_epochs = 8;
-  base.baseline.beta = 4;
-  base.baseline.model_update_epochs = 8;
   base.pretrain_per_class = 6;
   base.pretrain_epochs = 20;
   base.test_per_class = 25;
@@ -40,12 +38,12 @@ int main() {
   for (int64_t ipc : {1, 2, 5, 10}) {
     eval::RunConfig deco_cfg = base;
     deco_cfg.method = "deco";
-    deco_cfg.ipc = ipc;
+    deco_cfg.deco.ipc = ipc;
     const float deco_acc = eval::run_experiment(deco_cfg).final_accuracy;
 
     eval::RunConfig bl_cfg = base;
     bl_cfg.method = "selective_bp";
-    bl_cfg.ipc = ipc;
+    bl_cfg.deco.ipc = ipc;
     const float bl_acc = eval::run_experiment(bl_cfg).final_accuracy;
 
     const int64_t bytes = ipc * spec.num_classes * bytes_per_image;

@@ -53,13 +53,10 @@ int main() {
   core::DecoLearner deco(*m_deco, dc, 5);
   deco.init_buffer_from(labeled);
 
-  baselines::BaselineConfig bc;
-  bc.ipc = kIpc;
-  bc.beta = 4;
-  bc.model_update_epochs = 10;
-  baselines::BaselineLearner fifo(*m_fifo, baselines::Strategy::kFifo, bc, 6);
+  // The baselines run DECO's schedule: they take dc's LearnerConfig part.
+  baselines::BaselineLearner fifo(*m_fifo, baselines::Strategy::kFifo, dc, 6);
   fifo.init_buffer_from(labeled);
-  baselines::BaselineLearner sbp(*m_sbp, baselines::Strategy::kSelectiveBp, bc,
+  baselines::BaselineLearner sbp(*m_sbp, baselines::Strategy::kSelectiveBp, dc,
                                  7);
   sbp.init_buffer_from(labeled);
 

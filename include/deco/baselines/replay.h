@@ -20,6 +20,11 @@
 // In the paper's unlabeled streaming setting, baselines receive the same
 // model-predicted pseudo-labels DECO starts from (majority voting is part of
 // DECO's contribution and is not granted to the baselines).
+//
+// The baselines take the DECO learner's schedule by type: their config is
+// core::LearnerConfig, the base of core::DecoConfig, so a session hands its
+// one DecoConfig to whichever learner it builds, and every method runs at
+// the same IpC, β, epochs, lr and cache dtype.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +50,6 @@ enum class Strategy {
 std::string strategy_name(Strategy s);
 /// Parses "random" / "fifo" / "selective_bp" / "kcenter" / "gss".
 Strategy strategy_from_name(const std::string& name);
-
-struct BaselineConfig {
-  int64_t ipc = 10;
-  int64_t beta = 10;                 ///< model update interval (segments)
-  int64_t model_update_epochs = 30;  ///< matches the DECO learner's schedule
-  float lr_model = 1e-3f;
-  float weight_decay = 5e-4f;
-  int64_t train_batch = 32;
-  StoragePolicy storage;             ///< replay-row dtype (deco.cache_dtype)
-};
 
 /// One stored sample plus the metadata the strategies score with.
 ///
@@ -114,8 +109,9 @@ class ReplayBuffer {
 /// DecoLearner, sharing its pseudo-labeling and model-update schedule.
 class BaselineLearner : public core::OnDeviceLearner {
  public:
-  BaselineLearner(nn::ConvNet& model, Strategy strategy, BaselineConfig config,
-                  uint64_t seed);
+  /// Throws deco::Error when `config` fails LearnerConfig::validate.
+  BaselineLearner(nn::ConvNet& model, Strategy strategy,
+                  core::LearnerConfig config, uint64_t seed);
 
   /// Seeds the buffer with labeled pre-training samples (same warm start as
   /// the DECO buffer).
@@ -143,7 +139,7 @@ class BaselineLearner : public core::OnDeviceLearner {
  private:
   nn::ConvNet& model_;
   Strategy strategy_;
-  BaselineConfig config_;
+  core::LearnerConfig config_;
   Rng rng_;
   ReplayBuffer buffer_;
   int64_t segments_seen_ = 0;
@@ -158,7 +154,9 @@ class BaselineLearner : public core::OnDeviceLearner {
 /// observe_segment falls back to pseudo-labels for API compatibility.
 class UnlimitedLearner : public core::OnDeviceLearner {
  public:
-  UnlimitedLearner(nn::ConvNet& model, BaselineConfig config, uint64_t seed);
+  /// Throws deco::Error when `config` fails LearnerConfig::validate.
+  UnlimitedLearner(nn::ConvNet& model, core::LearnerConfig config,
+                   uint64_t seed);
 
   void init_buffer_from(const data::Dataset& labeled);
   core::SegmentReport observe_segment(const Tensor& images) override;
@@ -186,7 +184,7 @@ class UnlimitedLearner : public core::OnDeviceLearner {
   Tensor stacked_images() const;
 
   nn::ConvNet& model_;
-  BaselineConfig config_;
+  core::LearnerConfig config_;
   Rng rng_;
   std::vector<Tensor> images_;     // fp32 policy
   std::vector<QTensor> qimages_;   // quantized policy

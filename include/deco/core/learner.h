@@ -100,23 +100,31 @@ class OnDeviceLearner {
   virtual void set_checkpoint_dtype(DType dtype) { (void)dtype; }
 };
 
-/// Hyper-parameters of the DECO learner (paper Section IV-A3 defaults).
-struct DecoConfig {
+/// What DECO and the replay baselines share (paper Section IV-A3 defaults),
+/// so Table I compares them at one IpC under one schedule (β, epochs, lr).
+struct LearnerConfig {
   int64_t ipc = 10;               ///< images per class in the buffer
-  float threshold_m = 0.4f;       ///< majority-voting filter threshold
   int64_t beta = 10;              ///< model update interval, in segments
   int64_t model_update_epochs = 30;  ///< epochs of opt_θ on S (paper: 200)
   float lr_model = 1e-3f;
   float weight_decay = 5e-4f;
   int64_t train_batch = 32;
+  StoragePolicy storage;  ///< cache dtype (deco.cache_dtype, deco.quant_block)
+
+  /// Throws deco::Error on out-of-range values (called by every learner's
+  /// constructor, so bad configs fail loudly up front).
+  void validate() const;
+};
+
+/// The DECO learner's config: the shared schedule plus its own filter and
+/// condenser.
+struct DecoConfig : LearnerConfig {
+  float threshold_m = 0.4f;       ///< majority-voting filter threshold
   bool use_majority_voting = true;  ///< ablation switch
   condense::DecoCondenserConfig condenser;
   GuardConfig guard;  ///< numeric-health policy (guard.enabled=false to ablate)
-  StoragePolicy storage;  ///< cache/checkpoint dtypes (deco.cache_dtype etc.)
 
-  /// Throws deco::Error on out-of-range hyper-parameters (called by the
-  /// DecoLearner constructor, so bad configs fail loudly up front).
-  void validate() const;
+  void validate() const;  ///< LearnerConfig::validate plus DECO's fields
 };
 
 /// The DECO framework (Algorithm 1): pseudo-label → majority vote → condense
@@ -144,9 +152,7 @@ class DecoLearner : public OnDeviceLearner {
   int64_t memory_bytes() const override;
   int64_t cache_stored_bytes() const override;
   int64_t cache_logical_bytes() const override;
-  void set_checkpoint_dtype(DType dtype) override {
-    config_.storage.checkpoint_dtype = dtype;
-  }
+  void set_checkpoint_dtype(DType dtype) override { checkpoint_dtype_ = dtype; }
 
   condense::SyntheticBuffer& buffer() { return buffer_; }
   const DecoConfig& config() const { return config_; }
@@ -179,6 +185,7 @@ class DecoLearner : public OnDeviceLearner {
   condense::SyntheticBuffer buffer_;
   std::unique_ptr<condense::Condenser> condenser_;
   NumericGuard guard_;
+  DType checkpoint_dtype_ = DType::kF32;  ///< parameter records in save_state
   int64_t segments_seen_ = 0;
   double condense_seconds_ = 0.0;
 };

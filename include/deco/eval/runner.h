@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "deco/baselines/replay.h"
 #include "deco/core/learner.h"
 #include "deco/data/faults.h"
 #include "deco/data/stream.h"
@@ -29,12 +28,12 @@ struct RunConfig {
   std::string method = "deco";
   data::DatasetSpec spec;
   data::StreamConfig stream;
-  int64_t ipc = 10;
 
-  core::DecoConfig deco;            ///< used by deco/dc/dsa/dm
+  /// Every method's learner config (SessionRecipe::deco): the replay
+  /// baselines and upper_bound read its ipc and model-update schedule.
+  core::DecoConfig deco;
   condense::BilevelConfig bilevel;  ///< used by dc/dsa (dsa_strategy is set
                                     ///< automatically for method "dsa")
-  baselines::BaselineConfig baseline;
 
   int64_t pretrain_per_class = 6;   ///< labeled warm-start set size
   int64_t pretrain_epochs = 30;

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "deco/baselines/replay.h"
 #include "deco/core/learner.h"
 #include "deco/data/world.h"
 
@@ -28,13 +27,13 @@ struct SessionRecipe {
   std::string method = "deco";
   int64_t model_width = 16;
   int64_t model_depth = 2;
-  int64_t ipc = 10;  ///< buffer images per class (overrides deco/baseline ipc)
 
-  /// Condensation methods' learner config; its lr_model, weight_decay and
-  /// train_batch also drive pre-training.
+  /// The learner config of every method: the condensation methods take all
+  /// of it, upper_bound and the replay strategies its core::LearnerConfig
+  /// part (ipc, the model-update schedule, the cache dtype). Its lr_model,
+  /// weight_decay and train_batch also drive pre-training.
   core::DecoConfig deco;
   condense::BilevelConfig bilevel;  ///< dc/dsa (dsa_strategy set by method)
-  baselines::BaselineConfig baseline;  ///< replay strategies and upper_bound
 
   int64_t labeled_per_class = 4;  ///< labeled warm-start set size
   int64_t pretrain_epochs = 0;    ///< 0 = no pre-training
@@ -45,7 +44,8 @@ struct SessionRecipe {
   uint64_t condenser_seed = 0;  ///< condensation methods only
 
   /// Throws deco::Error on an unknown method (the message lists every valid
-  /// name) or an out-of-range shape. Cheap: call it before building a world.
+  /// name), an out-of-range shape or a `deco` that fails validate(). Cheap:
+  /// call it before building a world.
   void validate() const;
 };
 

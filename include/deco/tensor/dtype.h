@@ -114,14 +114,13 @@ class QTensor {
   std::vector<uint8_t> bytes_;
 };
 
-/// The single storage-policy surface promoted through runtime::ConfigMap:
-/// which dtype the condensed/replay cache is stored at (deco.cache_dtype),
-/// which dtype checkpoints and save_state model parameters use
-/// (deco.checkpoint_dtype / runtime.checkpoint_dtype), and the int8 block
-/// length (deco.quant_block). validate() is the one range authority.
+/// A learner's cache storage policy, promoted through runtime::ConfigMap:
+/// the dtype the condensed/replay cache is stored at (deco.cache_dtype) and
+/// the int8 block length (deco.quant_block). The checkpoint dtype is the
+/// runtime's (runtime.checkpoint_dtype, via set_checkpoint_dtype).
+/// validate() is the one range authority.
 struct StoragePolicy {
   DType cache_dtype = DType::kF32;
-  DType checkpoint_dtype = DType::kF32;
   int64_t block = kDefaultQuantBlock;
 
   /// Throws deco::Error on an out-of-range block (must be in [4, 1024]).

@@ -261,13 +261,15 @@ std::vector<int64_t> ReplayBuffer::all_labels() const {
 // ---- BaselineLearner ------------------------------------------------------------
 
 BaselineLearner::BaselineLearner(nn::ConvNet& model, Strategy strategy,
-                                 BaselineConfig config, uint64_t seed)
+                                 core::LearnerConfig config, uint64_t seed)
     : model_(model),
       strategy_(strategy),
       config_(config),
       rng_(seed),
       buffer_(model.config().num_classes, config.ipc, strategy,
-              config.storage.cache_dtype, config.storage.block) {}
+              config.storage.cache_dtype, config.storage.block) {
+  config_.validate();
+}
 
 void BaselineLearner::init_buffer_from(const data::Dataset& labeled) {
   const bool needs_feats =
@@ -356,9 +358,11 @@ int64_t BaselineLearner::memory_bytes() const {
 
 // ---- UnlimitedLearner ------------------------------------------------------------
 
-UnlimitedLearner::UnlimitedLearner(nn::ConvNet& model, BaselineConfig config,
-                                   uint64_t seed)
-    : model_(model), config_(config), rng_(seed) {}
+UnlimitedLearner::UnlimitedLearner(nn::ConvNet& model,
+                                   core::LearnerConfig config, uint64_t seed)
+    : model_(model), config_(config), rng_(seed) {
+  config_.validate();
+}
 
 void UnlimitedLearner::store_image(const Tensor& img) {
   if (config_.storage.cache_dtype == DType::kF32)

@@ -66,22 +66,26 @@ void OnDeviceLearner::load_state(const std::string& path) {
                     "(supports_state() is false)");
 }
 
+void LearnerConfig::validate() const {
+  DECO_CHECK(ipc >= 1, "LearnerConfig: ipc must be >= 1");
+  DECO_CHECK(beta >= 1, "LearnerConfig: beta must be >= 1");
+  DECO_CHECK(model_update_epochs >= 0,
+             "LearnerConfig: model_update_epochs must be >= 0");
+  DECO_CHECK(lr_model > 0.0f, "LearnerConfig: lr_model must be > 0");
+  DECO_CHECK(weight_decay >= 0.0f, "LearnerConfig: weight_decay must be >= 0");
+  DECO_CHECK(train_batch >= 1, "LearnerConfig: train_batch must be >= 1");
+  storage.validate();
+}
+
 void DecoConfig::validate() const {
-  DECO_CHECK(ipc >= 1, "DecoConfig: ipc must be >= 1");
+  LearnerConfig::validate();
   DECO_CHECK(threshold_m >= 0.0f && threshold_m <= 1.0f,
              "DecoConfig: threshold_m must be in [0, 1]");
-  DECO_CHECK(beta >= 1, "DecoConfig: beta must be >= 1");
-  DECO_CHECK(model_update_epochs >= 0,
-             "DecoConfig: model_update_epochs must be >= 0");
-  DECO_CHECK(lr_model > 0.0f, "DecoConfig: lr_model must be > 0");
-  DECO_CHECK(weight_decay >= 0.0f, "DecoConfig: weight_decay must be >= 0");
-  DECO_CHECK(train_batch >= 1, "DecoConfig: train_batch must be >= 1");
   DECO_CHECK(condenser.iterations >= 1,
              "DecoConfig: condenser.iterations must be >= 1");
   DECO_CHECK(condenser.lr_syn > 0.0f, "DecoConfig: condenser.lr_syn must be > 0");
   DECO_CHECK(condenser.alpha >= 0.0f, "DecoConfig: condenser.alpha must be >= 0");
   guard.validate();
-  storage.validate();
 }
 
 DecoLearner::DecoLearner(nn::ConvNet& model, DecoConfig config, uint64_t seed)
@@ -280,7 +284,7 @@ std::string DecoLearner::state_bytes() const {
   write_pod(os, segments_seen_);
   write_rng_state(os, rng_.state());
   const StoragePolicy& sp = config_.storage;
-  nn::write_params(os, model_, sp.checkpoint_dtype, sp.block);
+  nn::write_params(os, model_, checkpoint_dtype_, sp.block);
 
   // A quantized cache persists its canonical stored bytes verbatim (no
   // re-encode), which is what makes save -> load -> save byte-identical.
@@ -308,7 +312,7 @@ void DecoLearner::load_state(const std::string& path) {
     DECO_CHECK(is.is_open(), "load_state: cannot open " + path);
     std::ostringstream buf;
     buf << is.rdbuf();
-    file = buf.str();
+    file = std::move(buf).str();
   }
   DECO_CHECK(file.size() >= sizeof(kStateMagic) + sizeof(uint32_t) * 2,
              "load_state: file too small");
@@ -323,8 +327,10 @@ void DecoLearner::load_state(const std::string& path) {
   const uint32_t crc = crc32(file.data() + sizeof(kStateMagic), body_len);
   DECO_CHECK(stored == crc, "load_state: CRC mismatch (corrupted state file)");
 
-  std::istringstream is(file.substr(sizeof(kStateMagic), body_len),
-                        std::ios::binary);
+  // The body, read in place: no second copy of the file.
+  file.resize(file.size() - sizeof(uint32_t));
+  std::istringstream is(std::move(file), std::ios::binary);
+  is.seekg(sizeof(kStateMagic));
   const StateHeader header = read_state_header(is, "load_state");
 
   // Stage everything and validate against the live model/buffer before any

@@ -21,10 +21,8 @@ runtime::SessionRecipe session_recipe(const RunConfig& config) {
   r.method = config.method;
   r.model_width = config.model_width;
   r.model_depth = config.model_depth;
-  r.ipc = config.ipc;
   r.deco = config.deco;
   r.bilevel = config.bilevel;
-  r.baseline = config.baseline;
   r.labeled_per_class = config.pretrain_per_class;
   r.pretrain_epochs = config.pretrain_epochs;
   r.labeled_seed = config.seed + 1;

@@ -251,7 +251,6 @@ void ConfigMap::apply(core::DecoConfig& cfg) {
     else if (k == "guard.max_condense_distance") cfg.guard.max_condense_distance = static_cast<float>(to_double(e));
     else if (k == "guard.backoff") cfg.guard.backoff = static_cast<float>(to_double(e));
     else if (k == "cache_dtype") cfg.storage.cache_dtype = to_dtype(e.key, e.value);
-    else if (k == "checkpoint_dtype") cfg.storage.checkpoint_dtype = to_dtype(e.key, e.value);
     else if (k == "quant_block") cfg.storage.block = to_int(e);
     else DECO_CHECK(false, "config: unknown key '" + e.key + "'");
     e.consumed = true;

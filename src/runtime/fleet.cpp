@@ -46,7 +46,6 @@ LearnerHandle Fleet::make_learner(const FleetConfig& config,
   SessionRecipe r;
   r.model_width = config.model_width;
   r.model_depth = config.model_depth;
-  r.ipc = config.deco.ipc;
   r.deco = config.deco;
   r.labeled_per_class = config.labeled_per_class;
   r.labeled_seed = config.seed + 1;

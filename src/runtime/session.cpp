@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "deco/baselines/replay.h"
 #include "deco/tensor/check.h"
 
 namespace deco::runtime {
@@ -49,11 +50,11 @@ void SessionRecipe::validate() const {
     valid += (valid.empty() ? "" : ", ") + name;
   }
   DECO_CHECK(known, "unknown method '" + method + "' (valid: " + valid + ")");
-  DECO_CHECK(ipc >= 1, "session: ipc must be >= 1");
   DECO_CHECK(model_width >= 1 && model_depth >= 1,
              "session: model shape must be >= 1");
   DECO_CHECK(labeled_per_class >= 1 && pretrain_epochs >= 0,
              "session: pre-training knobs out of range");
+  deco.validate();
 }
 
 LearnerHandle build_session(const SessionRecipe& recipe,
@@ -84,27 +85,21 @@ LearnerHandle build_session(const SessionRecipe& recipe,
 
   LearnerHandle h;
   if (auto condenser = condenser_for(recipe, mc)) {
-    core::DecoConfig dc = recipe.deco;
-    dc.ipc = recipe.ipc;
     auto deco = std::make_unique<core::DecoLearner>(
-        *model, dc, recipe.learner_seed, std::move(condenser));
+        *model, recipe.deco, recipe.learner_seed, std::move(condenser));
     deco->init_buffer_from(labeled);
     h.learner = std::move(deco);
+  } else if (recipe.method == "upper_bound") {
+    auto ub = std::make_unique<baselines::UnlimitedLearner>(
+        *model, recipe.deco, recipe.learner_seed);
+    ub->init_buffer_from(labeled);
+    h.learner = std::move(ub);
   } else {
-    baselines::BaselineConfig bc = recipe.baseline;
-    bc.ipc = recipe.ipc;
-    if (recipe.method == "upper_bound") {
-      auto ub = std::make_unique<baselines::UnlimitedLearner>(
-          *model, bc, recipe.learner_seed);
-      ub->init_buffer_from(labeled);
-      h.learner = std::move(ub);
-    } else {
-      auto bl = std::make_unique<baselines::BaselineLearner>(
-          *model, baselines::strategy_from_name(recipe.method), bc,
-          recipe.learner_seed);
-      bl->init_buffer_from(labeled);
-      h.learner = std::move(bl);
-    }
+    auto bl = std::make_unique<baselines::BaselineLearner>(
+        *model, baselines::strategy_from_name(recipe.method), recipe.deco,
+        recipe.learner_seed);
+    bl->init_buffer_from(labeled);
+    h.learner = std::move(bl);
   }
   h.keepalive = std::move(model);
   return h;

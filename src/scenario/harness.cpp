@@ -68,14 +68,11 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
   base.method = method;
   base.model_width = options.model_width;
   base.model_depth = options.model_depth;
-  base.ipc = options.ipc;
+  base.deco.ipc = options.ipc;
   base.deco.storage.cache_dtype = spec.cache_dtype;
   base.deco.beta = options.beta;
   base.deco.model_update_epochs = options.model_update_epochs;
   base.deco.condenser.iterations = options.condenser_iterations;
-  base.baseline.storage.cache_dtype = spec.cache_dtype;
-  base.baseline.beta = options.beta;
-  base.baseline.model_update_epochs = options.model_update_epochs;
   base.labeled_per_class = options.pretrain_per_class;
   base.pretrain_epochs = options.pretrain_epochs;
   base.labeled_seed = seed + 1;
@@ -114,7 +111,7 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
 
     runtime::SessionRecipe recipe = base;
     if (variant.model_width > 0) recipe.model_width = variant.model_width;
-    if (variant.ipc > 0) recipe.ipc = variant.ipc;
+    if (variant.ipc > 0) recipe.deco.ipc = variant.ipc;
     recipe.model_seed = seed * 0x9E37 + si * 1315423911ull + 0xC0FFEE;
     recipe.learner_seed = seed + 1000 + si;
     recipe.condenser_seed = (seed + si * 977) ^ 0xD3C0DE;

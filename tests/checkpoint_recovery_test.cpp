@@ -388,8 +388,8 @@ struct MetadataRig {
     model = std::make_unique<nn::ConvNet>(model_config(world.spec()), mr);
     DecoConfig cfg = small_config(soft);
     cfg.storage.cache_dtype = dtype;
-    cfg.storage.checkpoint_dtype = dtype;
     learner = std::make_unique<DecoLearner>(*model, cfg, 9);
+    learner->set_checkpoint_dtype(dtype);
     learner->init_buffer_from(labeled);
     data::TemporalStream stream(world, stream_config(2), 10);
     data::Segment seg;

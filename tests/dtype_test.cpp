@@ -479,7 +479,6 @@ TEST(BufferStorageTest, RestoreStoredRebuildsWorkingCopy) {
 TEST(StorageConfigTest, DtypeKeysRouteIntoPolicies) {
   runtime::ConfigMap cm = runtime::ConfigMap::from_kv_text(
       "deco.cache_dtype = int8\n"
-      "deco.checkpoint_dtype = fp16\n"
       "deco.quant_block = 64\n"
       "runtime.checkpoint_dtype = fp16\n");
   core::DecoConfig dc;
@@ -488,23 +487,21 @@ TEST(StorageConfigTest, DtypeKeysRouteIntoPolicies) {
   cm.apply(rc);
   cm.check_fully_consumed();
   EXPECT_EQ(dc.storage.cache_dtype, DType::kQ8);
-  EXPECT_EQ(dc.storage.checkpoint_dtype, DType::kF16);
   EXPECT_EQ(dc.storage.block, 64);
   EXPECT_EQ(rc.checkpoint_dtype, DType::kF16);
 }
 
 TEST(StorageConfigTest, TyposAndBadValuesFailNamingTheKey) {
-  {
-    // The classic one-letter typo must not silently run the default.
-    runtime::ConfigMap cm =
-        runtime::ConfigMap::from_kv_text("deco.cache_dtyp = int8\n");
+  // The classic one-letter typo must not silently run the default, and the
+  // checkpoint dtype is a runtime policy only (runtime.checkpoint_dtype).
+  for (const std::string key : {"deco.cache_dtyp", "deco.checkpoint_dtype"}) {
+    runtime::ConfigMap cm = runtime::ConfigMap::from_kv_text(key + " = int8\n");
     core::DecoConfig dc;
     try {
       cm.apply(dc);
-      FAIL() << "expected deco::Error";
+      FAIL() << "expected deco::Error for " << key;
     } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("deco.cache_dtyp"),
-                std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos);
     }
   }
   {
@@ -799,7 +796,7 @@ TEST(QuantizedReplayTest, RowsQuantizeAtTheDoor) {
   Rng mr(7);
   nn::ConvNet model(world_net(world.spec()), mr);
 
-  baselines::BaselineConfig bc;
+  core::LearnerConfig bc;
   bc.ipc = 2;
   bc.beta = 2;
   bc.model_update_epochs = 1;
@@ -825,7 +822,7 @@ TEST(QuantizedReplayTest, RowsQuantizeAtTheDoor) {
   }
   Rng mr2(8);
   nn::ConvNet model2(world_net(world.spec()), mr2);
-  baselines::BaselineConfig bf = bc;
+  core::LearnerConfig bf = bc;
   bf.storage.cache_dtype = DType::kF32;
   baselines::BaselineLearner f32(model2, baselines::Strategy::kFifo, bf, 13);
   f32.init_buffer_from(labeled);

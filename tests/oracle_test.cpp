@@ -27,7 +27,7 @@ TEST(OracleTest, LabeledSegmentsStoreTrueLabels) {
   nn::ConvNet model(model_config(), rng);
   data::ProceduralImageWorld world(data::core50_spec(), 2);
 
-  BaselineConfig bc;
+  core::LearnerConfig bc;
   bc.beta = 100;  // no training in this test
   UnlimitedLearner learner(model, bc, 3);
 
@@ -45,7 +45,7 @@ TEST(OracleTest, LabeledSegmentsStoreTrueLabels) {
 TEST(OracleTest, RejectsLabelCountMismatch) {
   Rng rng(5);
   nn::ConvNet model(model_config(), rng);
-  BaselineConfig bc;
+  core::LearnerConfig bc;
   UnlimitedLearner learner(model, bc, 6);
   Tensor images({4, 3, 16, 16});
   EXPECT_THROW(learner.observe_labeled_segment(images, {0, 1}), Error);
@@ -67,7 +67,7 @@ TEST(OracleTest, OracleLabelsTrainBetterThanNoisyPseudoLabels) {
       all[static_cast<size_t>(i)] = i;
     core::train_classifier(model, labeled.batch(all), labeled.labels(), 8,
                            1e-3f, 5e-4f, 32, rng);
-    BaselineConfig bc;
+    core::LearnerConfig bc;
     bc.beta = 2;
     bc.model_update_epochs = 4;
     UnlimitedLearner learner(model, bc, 9);

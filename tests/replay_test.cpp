@@ -169,7 +169,7 @@ TEST(BaselineLearnerTest, ObserveSegmentMaintainsBudget) {
 
   for (auto strat : {Strategy::kRandom, Strategy::kFifo, Strategy::kSelectiveBp,
                      Strategy::kKCenter, Strategy::kGssGreedy}) {
-    BaselineConfig bc;
+    core::LearnerConfig bc;
     bc.ipc = 2;
     bc.beta = 100;  // no model updates in this test
     BaselineLearner learner(model, strat, bc, 10);
@@ -203,7 +203,7 @@ TEST(UnlimitedLearnerTest, StoresEverything) {
   data::ProceduralImageWorld world(data::core50_spec(), 13);
   data::Dataset labeled = world.make_labeled_set(2, 1);
 
-  baselines::BaselineConfig bc;
+  core::LearnerConfig bc;
   bc.beta = 100;
   UnlimitedLearner learner(model, bc, 14);
   learner.init_buffer_from(labeled);
@@ -216,6 +216,27 @@ TEST(UnlimitedLearnerTest, StoresEverything) {
   data::Segment seg;
   while (stream.next(seg)) learner.observe_segment(seg.images);
   EXPECT_EQ(learner.stored(), 20 + 24);
+}
+
+TEST(BaselineLearnerTest, OutOfRangeScheduleFailsAtConstruction) {
+  // A zero beta would reach `segments_seen_ % beta` on the first segment;
+  // both replay learners validate their config up front.
+  Rng rng(16);
+  nn::ConvNetConfig cfg;
+  cfg.in_channels = 3;
+  cfg.image_h = cfg.image_w = 16;
+  cfg.num_classes = 10;
+  cfg.width = 8;
+  cfg.depth = 2;
+  nn::ConvNet model(cfg, rng);
+  core::LearnerConfig zero_beta, zero_ipc, zero_batch;
+  zero_beta.beta = 0;
+  zero_ipc.ipc = 0;
+  zero_batch.train_batch = 0;
+  for (const core::LearnerConfig& bad : {zero_beta, zero_ipc, zero_batch}) {
+    EXPECT_THROW(BaselineLearner(model, Strategy::kFifo, bad, 17), Error);
+    EXPECT_THROW(UnlimitedLearner(model, bad, 18), Error);
+  }
 }
 
 }  // namespace

@@ -16,12 +16,10 @@ RunConfig mini_config(const std::string& method) {
   cfg.stream.stc = 12;
   cfg.stream.segment_size = 12;
   cfg.stream.total_segments = 4;
-  cfg.ipc = 2;
+  cfg.deco.ipc = 2;
   cfg.deco.beta = 2;
   cfg.deco.model_update_epochs = 3;
   cfg.deco.condenser.iterations = 2;
-  cfg.baseline.beta = 2;
-  cfg.baseline.model_update_epochs = 3;
   cfg.pretrain_per_class = 4;
   cfg.pretrain_epochs = 10;
   cfg.test_per_class = 8;
@@ -90,6 +88,17 @@ TEST(RunnerTest, UnknownMethodThrows) {
     EXPECT_NE(msg.find("definitely_not_a_method"), std::string::npos) << msg;
     EXPECT_NE(msg.find("dm"), std::string::npos) << msg;
     EXPECT_NE(msg.find("upper_bound"), std::string::npos) << msg;
+  }
+}
+
+TEST(RunnerTest, RecipeValidatesTheLearnerConfig) {
+  // A bad learner value fails at validate(), before a world is built, for a
+  // replay baseline as for deco.
+  for (const char* method : {"deco", "fifo", "upper_bound"}) {
+    runtime::SessionRecipe recipe;
+    recipe.method = method;
+    recipe.deco.beta = 0;
+    EXPECT_THROW(recipe.validate(), Error) << method;
   }
 }
 

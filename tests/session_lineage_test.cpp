@@ -63,7 +63,7 @@ eval::RunConfig tiny_run(const std::string& method) {
   cfg.stream.stc = 6;
   cfg.stream.segment_size = 8;
   cfg.stream.total_segments = 4;
-  cfg.ipc = 3;
+  cfg.deco.ipc = 3;
   // A large model-update step so every seed the session consumes moves the
   // final accuracy.
   cfg.deco.lr_model = 1e-2f;
@@ -72,9 +72,6 @@ eval::RunConfig tiny_run(const std::string& method) {
   cfg.deco.condenser.iterations = 2;
   cfg.bilevel.outer_loops = 1;
   cfg.bilevel.inner_epochs = 2;
-  cfg.baseline.lr_model = 1e-2f;
-  cfg.baseline.beta = 2;
-  cfg.baseline.model_update_epochs = 8;
   cfg.pretrain_per_class = 3;
   cfg.pretrain_epochs = 5;
   cfg.test_per_class = 10;

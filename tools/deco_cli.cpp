@@ -165,14 +165,12 @@ int cmd_run(int argc, char** argv, int first) {
   cfg.stream.video_mode =
       opt.dataset == "icub1" || opt.dataset == "core50" ||
       opt.dataset == "cifar10";
-  cfg.ipc = opt.ipc;
+  cfg.deco.ipc = opt.ipc;
   cfg.deco.beta = opt.beta;
   cfg.deco.model_update_epochs = opt.epochs;
   cfg.deco.threshold_m = opt.threshold_m;
   cfg.deco.condenser.alpha = opt.alpha;
   cfg.deco.condenser.iterations = opt.iterations;
-  cfg.baseline.beta = opt.beta;
-  cfg.baseline.model_update_epochs = opt.epochs;
   cfg.model_width = opt.width;
   cfg.model_depth = opt.depth;
   cfg.eval_every_segments = opt.eval_every;
@@ -259,7 +257,7 @@ void print_serve_help() {
       "runtime.pool_budget_mb | runtime.keep_reports |\n"
       "runtime.checkpoint_dtype (fp32|fp16|int8)\n"
       "storage keys: deco.cache_dtype (fp32|fp16|int8, condensed cache\n"
-      "stored quantized) | deco.checkpoint_dtype | deco.quant_block\n");
+      "stored quantized) | deco.quant_block\n");
 }
 
 int cmd_serve(int argc, char** argv, int first) {
